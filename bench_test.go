@@ -228,6 +228,82 @@ func BenchmarkFig9PageFault(b *testing.B) {
 	b.ReportMetric(vus, "vµs/fault")
 }
 
+// --- Ladder rungs on the real-time binding: what one filament and one
+// resident shared access cost per operation, and that neither allocates
+// (CI fails the run if any reports > 0 allocs/op). ---
+
+// rtBench runs body as the single node program of a one-node UDP cluster.
+func rtBench(b *testing.B, alloc int64, body func(rt *filaments.Runtime, e *filaments.Exec, base filaments.Addr)) {
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: 1, Protocol: filaments.ImplicitInvalidate})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var base filaments.Addr
+	if alloc > 0 {
+		base = cl.Alloc(alloc)
+	}
+	b.ReportAllocs()
+	if _, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) { body(rt, e, base) }); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchPoolRun sweeps b.N empty filaments in pools of up to 128 rows of 128
+// (the geometry of the benchmark's filament probe); reversing each row
+// defeats strip recognition.
+func benchPoolRun(b *testing.B, strip bool) {
+	rtBench(b, 0, func(rt *filaments.Runtime, e *filaments.Exec, _ filaments.Addr) {
+		const cols, chunk = 128, 128 * 128
+		p := rt.NewPool("bench")
+		fn := func(*filaments.Exec, filaments.Args) {}
+		b.ResetTimer()
+		for done := 0; done < b.N; done += chunk {
+			n := min(b.N-done, chunk)
+			b.StopTimer()
+			rt.ResetPools()
+			for k := 0; k < n; k++ {
+				col := k % cols
+				if !strip {
+					col = cols - 1 - col
+				}
+				p.Add(e, fn, filaments.Args{int64(k / cols), int64(col)})
+			}
+			if n >= 2 && p.Inlined() != strip {
+				b.Fatalf("pool inlined=%v, want %v", p.Inlined(), strip)
+			}
+			b.StartTimer()
+			rt.RunPools(e)
+		}
+	})
+}
+
+func BenchmarkPoolRunInlined(b *testing.B) { benchPoolRun(b, true) }
+func BenchmarkPoolRunPlain(b *testing.B)   { benchPoolRun(b, false) }
+
+var benchSink float64
+
+func BenchmarkExecReadF64Hit(b *testing.B) {
+	rtBench(b, filaments.PageSize, func(_ *filaments.Runtime, e *filaments.Exec, base filaments.Addr) {
+		e.WriteF64(base, 1)
+		var sum float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sum += e.ReadF64(base + filaments.Addr(i&511)*8)
+		}
+		benchSink = sum
+	})
+}
+
+func BenchmarkExecWriteF64Hit(b *testing.B) {
+	rtBench(b, filaments.PageSize, func(_ *filaments.Runtime, e *filaments.Exec, base filaments.Addr) {
+		e.WriteF64(base, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.WriteF64(base+filaments.Addr(i&511)*8, 1)
+		}
+	})
+}
+
 // --- Figures 10-12 and the ablations, via the bench registry ---
 
 func BenchmarkFig10JacobiBreakdown(b *testing.B) {

@@ -104,8 +104,22 @@ type waiter struct {
 }
 
 type blockState struct {
+	// What a resident access reads comes first, 48 adjacent bytes: the
+	// protection level, the publish mark, the block's base address (fixed
+	// at addBlock) and the frame.
 	access access
-	owner  bool
+	// snap marks frame's content as published at ver (served to a peer,
+	// or installed from one): the next local write first snapshots it
+	// into shadow as the diff base and bumps ver.
+	snap bool
+	base Addr
+	// frame is the block's local content; revoked, re-homed, and
+	// recycled at protocol events, so aliases must not outlive the
+	// current epoch (the framescope analyzer enforces this).
+	//dflint:frame
+	frame []byte
+
+	owner bool
 	// touched is false while the block has never been written anywhere: a
 	// "virgin" block's content is all zeros, so serving it transfers
 	// ownership without shipping a frame of zeros across the wire. The
@@ -114,15 +128,10 @@ type blockState struct {
 	touched   bool
 	probOwner kernel.NodeID // best guess at the owner (starts at home)
 	copyset   []kernel.NodeID
-	// frame is the block's local content; revoked, re-homed, and
-	// recycled at protocol events, so aliases must not outlive the
-	// current epoch (the framescope analyzer enforces this).
-	//dflint:frame
-	frame    []byte
-	waiting  []waiter
-	fetching bool
-	invals   int // outstanding invalidation acks before RW install
-	acquired kernel.Time
+	waiting   []waiter
+	fetching  bool
+	invals    int // outstanding invalidation acks before RW install
+	acquired  kernel.Time
 
 	// Twin-and-diff state (active only when the DSM's diff mode is on).
 	//
@@ -131,10 +140,6 @@ type blockState struct {
 	// they stay consistent as ownership migrates: a frame at version v
 	// always holds exactly the content that was published as v.
 	ver int64
-	// snap marks frame's content as published at ver (served to a peer,
-	// or installed from one): the next local write first snapshots it
-	// into shadow as the diff base and bumps ver.
-	snap bool
 	// shadow is the diff base: for an owner, the twin — a copy of the
 	// last published version; for a non-owner, the stale frame retained
 	// when access was revoked. shadowVer is its version; a nil shadow
@@ -308,7 +313,8 @@ func (d *DSM) addBlock(b int32, owner kernel.NodeID) {
 	if int(b) != len(d.blocks) {
 		panic("dsm: block sequence out of order")
 	}
-	st := blockState{probOwner: owner}
+	base, _ := d.space.blockBytes(int(b))
+	st := blockState{probOwner: owner, base: base}
 	if owner == d.node.ID() {
 		st.owner = true
 		st.access = accRO // upgraded (and marked touched) on first write
@@ -324,8 +330,39 @@ func (d *DSM) addBlock(b int32, owner kernel.NodeID) {
 // the node run other work while the page is fetched — the multithreaded
 // overlap at the heart of the paper.
 
-// ReadF64 reads the float64 at address a.
-func (d *DSM) ReadF64(t kernel.Thread, a Addr) float64 {
+// LoadResident is the resident read hit: it returns the 8-byte word at a
+// when the containing block is readable and no Monitor is attached, and
+// declines otherwise. One block lookup, no calls; callers (load, and the
+// filament runtime's Exec) take the full path only on a decline.
+//
+//dflint:hotpath
+func (d *DSM) LoadResident(a Addr) (uint64, bool) {
+	st := &d.blocks[d.space.pageBlock[a>>pageShift]]
+	if st.access == accNone || d.space.monitor != nil {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(st.frame[a-st.base:]), true
+}
+
+// StoreResident is the resident write hit: it stores v at a when the
+// containing block is writable, no publish snapshot is pending, and no
+// Monitor is attached, and declines otherwise.
+//
+//dflint:hotpath
+func (d *DSM) StoreResident(a Addr, v uint64) bool {
+	st := &d.blocks[d.space.pageBlock[a>>pageShift]]
+	if st.access != accRW || st.snap || d.space.monitor != nil {
+		return false
+	}
+	binary.LittleEndian.PutUint64(st.frame[a-st.base:], v)
+	return true
+}
+
+// load reads the 8-byte word at a, faulting the block in if needed.
+func (d *DSM) load(t kernel.Thread, a Addr) uint64 {
+	if v, ok := d.LoadResident(a); ok {
+		return v
+	}
 	b := d.space.pageBlock[a>>pageShift]
 	st := &d.blocks[b]
 	if st.access == accNone {
@@ -334,57 +371,40 @@ func (d *DSM) ReadF64(t kernel.Thread, a Addr) float64 {
 	if m := d.space.monitor; m != nil {
 		m.OnAccess(d.node.ID(), a, 8, false, d.node.Now())
 	}
-	off := a - Addr(d.space.blockStart[b])<<pageShift
-	return math.Float64frombits(binary.LittleEndian.Uint64(st.frame[off:]))
+	return binary.LittleEndian.Uint64(st.frame[a-st.base:])
 }
+
+// store writes the 8-byte word v at a, faulting the block in writable and
+// twinning a published frame first if needed.
+func (d *DSM) store(t kernel.Thread, a Addr, v uint64) {
+	if d.StoreResident(a, v) {
+		return
+	}
+	b := d.space.pageBlock[a>>pageShift]
+	st := &d.blocks[b]
+	if st.access != accRW {
+		d.fault(t, int(b), true)
+	}
+	if st.snap {
+		d.snapshot(st)
+	}
+	if m := d.space.monitor; m != nil {
+		m.OnAccess(d.node.ID(), a, 8, true, d.node.Now())
+	}
+	binary.LittleEndian.PutUint64(st.frame[a-st.base:], v)
+}
+
+// ReadF64 reads the float64 at address a.
+func (d *DSM) ReadF64(t kernel.Thread, a Addr) float64 { return math.Float64frombits(d.load(t, a)) }
 
 // WriteF64 writes the float64 v at address a.
-func (d *DSM) WriteF64(t kernel.Thread, a Addr, v float64) {
-	b := d.space.pageBlock[a>>pageShift]
-	st := &d.blocks[b]
-	if st.access != accRW {
-		d.fault(t, int(b), true)
-	}
-	if st.snap {
-		d.snapshot(st)
-	}
-	if m := d.space.monitor; m != nil {
-		m.OnAccess(d.node.ID(), a, 8, true, d.node.Now())
-	}
-	off := a - Addr(d.space.blockStart[b])<<pageShift
-	binary.LittleEndian.PutUint64(st.frame[off:], math.Float64bits(v))
-}
+func (d *DSM) WriteF64(t kernel.Thread, a Addr, v float64) { d.store(t, a, math.Float64bits(v)) }
 
 // ReadI64 reads the int64 at address a.
-func (d *DSM) ReadI64(t kernel.Thread, a Addr) int64 {
-	b := d.space.pageBlock[a>>pageShift]
-	st := &d.blocks[b]
-	if st.access == accNone {
-		d.fault(t, int(b), false)
-	}
-	if m := d.space.monitor; m != nil {
-		m.OnAccess(d.node.ID(), a, 8, false, d.node.Now())
-	}
-	off := a - Addr(d.space.blockStart[b])<<pageShift
-	return int64(binary.LittleEndian.Uint64(st.frame[off:]))
-}
+func (d *DSM) ReadI64(t kernel.Thread, a Addr) int64 { return int64(d.load(t, a)) }
 
 // WriteI64 writes the int64 v at address a.
-func (d *DSM) WriteI64(t kernel.Thread, a Addr, v int64) {
-	b := d.space.pageBlock[a>>pageShift]
-	st := &d.blocks[b]
-	if st.access != accRW {
-		d.fault(t, int(b), true)
-	}
-	if st.snap {
-		d.snapshot(st)
-	}
-	if m := d.space.monitor; m != nil {
-		m.OnAccess(d.node.ID(), a, 8, true, d.node.Now())
-	}
-	off := a - Addr(d.space.blockStart[b])<<pageShift
-	binary.LittleEndian.PutUint64(st.frame[off:], uint64(v))
-}
+func (d *DSM) WriteI64(t kernel.Thread, a Addr, v int64) { d.store(t, a, uint64(v)) }
 
 // snapshot is the copy-on-first-write twin: frame's content was published
 // at st.ver, so before the first post-publish write it is copied into
@@ -823,6 +843,5 @@ func (d *DSM) Peek(a Addr) (float64, bool) {
 	if !st.owner || st.frame == nil {
 		return 0, false
 	}
-	off := a - Addr(d.space.blockStart[b])<<pageShift
-	return math.Float64frombits(binary.LittleEndian.Uint64(st.frame[off:])), true
+	return math.Float64frombits(binary.LittleEndian.Uint64(st.frame[a-st.base:])), true
 }

@@ -686,3 +686,113 @@ func TestMonotonicReadsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// accessMonitor counts typed accesses; the embedded nil Monitor makes any
+// other callback a loud failure (the test below stays on one node's own
+// page, so none fires).
+type accessMonitor struct {
+	Monitor
+	reads, writes int
+}
+
+func (m *accessMonitor) OnAttach(*Space) {}
+
+func (m *accessMonitor) OnAccess(_ kernel.NodeID, _ Addr, _ int, write bool, _ kernel.Time) {
+	if write {
+		m.writes++
+	} else {
+		m.reads++
+	}
+}
+
+// The resident hit must decline — and the full path must then do the work
+// it exists for — whenever the block is not accessible at the needed
+// level, a publish snapshot is pending, or a Monitor is attached.
+func TestResidentHitDeclines(t *testing.T) {
+	fx := newFixture(t, 2, ImplicitInvalidate)
+	a := fx.space.Alloc(PageSize, AllocOpts{Owner: 0})
+	b := a + 8
+	for _, d := range fx.dsms {
+		d.SetDiffs(true) // so a consumed snapshot shows as a version bump
+	}
+	d0, d1 := fx.dsms[0], fx.dsms[1]
+	bar := &testBarrier{fx: fx}
+	mon := &accessMonitor{}
+	fx.run(t, map[int]func(*threads.Thread){
+		0: func(th *threads.Thread) {
+			st := &d0.blocks[fx.space.BlockOf(a)]
+			// A virgin owned block is readable, not yet writable.
+			if v, ok := d0.LoadResident(a); !ok || v != 0 {
+				t.Errorf("read of an owned virgin block: %v, %v", v, ok)
+			}
+			if d0.StoreResident(a, 1) {
+				t.Error("store hit a read-only block")
+			}
+			d0.WriteI64(th, a, 41) // full path: write fault, owner upgrade
+			if d0.Stats().WriteFaults != 1 || !d0.StoreResident(b, 42) {
+				t.Errorf("after the upgrade: %d write faults, access %d", d0.Stats().WriteFaults, st.access)
+			}
+			if v, ok := d0.LoadResident(b); !ok || v != 42 {
+				t.Errorf("read back %v, %v", v, ok)
+			}
+			bar.wait(0, th) // node 1 fetches a copy: the frame is published
+			bar.wait(0, th)
+			if !st.snap || st.access != accRW {
+				t.Fatalf("after serving a copy: snap=%v access=%d", st.snap, st.access)
+			}
+			ver := st.ver
+			if d0.StoreResident(a, 7) {
+				t.Error("store hit a frame with a publish snapshot pending")
+			}
+			if v, _ := d0.LoadResident(a); v != 41 {
+				t.Errorf("the declined store changed the frame: %v", v)
+			}
+			d0.WriteI64(th, a, 43) // full path: twin, bump the version, then store
+			if st.snap || st.ver != ver+1 || string(st.shadow[:8]) != string([]byte{41, 0, 0, 0, 0, 0, 0, 0}) {
+				t.Errorf("full-path store did not twin the published frame: snap=%v ver %d -> %d", st.snap, ver, st.ver)
+			}
+			if !d0.StoreResident(a, 44) {
+				t.Error("store declined after the snapshot was taken")
+			}
+
+			// With a monitor attached every access takes the full path.
+			fx.space.SetMonitor(mon)
+			if _, ok := d0.LoadResident(a); ok {
+				t.Error("read hit under a monitor")
+			}
+			if d0.StoreResident(a, 9) {
+				t.Error("store hit under a monitor")
+			}
+			if got := d0.ReadI64(th, a); got != 44 {
+				t.Errorf("monitored read = %d", got)
+			}
+			d0.WriteF64(th, b, 2.5)
+			if got := d0.ReadF64(th, b); got != 2.5 {
+				t.Errorf("monitored read = %v", got)
+			}
+			if mon.reads != 2 || mon.writes != 1 {
+				t.Errorf("monitor saw %d reads, %d writes; want 2, 1", mon.reads, mon.writes)
+			}
+			fx.space.SetMonitor(nil)
+		},
+		1: func(th *threads.Thread) {
+			if _, ok := d1.LoadResident(a); ok {
+				t.Error("read hit a block this node holds no copy of")
+			}
+			bar.wait(1, th)
+			if got := d1.ReadI64(th, a); got != 41 || d1.Stats().ReadFaults != 1 {
+				t.Errorf("remote read = %d after %d faults", got, d1.Stats().ReadFaults)
+			}
+			if v, ok := d1.LoadResident(b); !ok || v != 42 {
+				t.Errorf("read of the fetched copy: %v, %v", v, ok)
+			}
+			if d1.StoreResident(b, 1) {
+				t.Error("store hit a read-only copy")
+			}
+			bar.wait(1, th) // implicit invalidation discards the copy
+			if _, ok := d1.LoadResident(a); ok {
+				t.Error("read hit a copy the barrier discarded")
+			}
+		},
+	})
+}

@@ -500,3 +500,79 @@ func TestResetPools(t *testing.T) {
 		t.Fatalf("runs = %d, want 3", runs)
 	}
 }
+
+// Property: a recognized strip calls its function with exactly the
+// descriptor sequence it was built from, in order — for single-row,
+// width-1, rectangular and ragged-last-row pools, and across flush
+// boundaries (every filament computes enough that the dispatch loop
+// flushes every few of them).
+func TestStripDispatchMatchesDescriptors(t *testing.T) {
+	f := func(i0, j0 int16, w, h, last uint8, c2, c5 int64) bool {
+		width, height := 1+int(w)%11, 1+int(h)%11
+		ragged := 1 + int(last)%width // filaments in the last row
+		var want, got []filaments.Args
+		inlined := false
+		_, err := filaments.New(filaments.Config{Nodes: 1}).Run(
+			func(rt *filaments.Runtime, e *filaments.Exec) {
+				p := rt.NewPool("strip")
+				fn := func(e *filaments.Exec, a filaments.Args) {
+					got = append(got, a)
+					e.Compute(300 * sim.Microsecond)
+				}
+				for i := 0; i < height; i++ {
+					cols := width
+					if i == height-1 {
+						cols = ragged
+					}
+					for j := 0; j < cols; j++ {
+						a := filaments.Args{int64(i0) + int64(i), int64(j0) + int64(j), c2, 0, 0, c5}
+						want = append(want, a)
+						p.Add(e, fn, a)
+					}
+				}
+				inlined = p.Inlined()
+				rt.RunPools(e)
+			})
+		if err != nil || inlined != (len(want) >= 2) || len(got) != len(want) {
+			return false
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fil.run, fil.inlined and fil.created are published in batches at flush
+// points; after RunPools the totals must be exact all the same.
+func TestFilamentCountersExact(t *testing.T) {
+	const strip, plain, sweeps = 9000, 2500, 3
+	c, _ := run(t, filaments.Config{Nodes: 1}, nil, func(rt *filaments.Runtime, e *filaments.Exec) {
+		fn := func(e *filaments.Exec, a filaments.Args) { e.Compute(sim.Microsecond) }
+		ps := rt.NewPool("strip")
+		for k := 0; k < strip; k++ {
+			ps.Add(e, fn, filaments.Args{int64(k / 100), int64(k % 100)})
+		}
+		pp := rt.NewPool("plain")
+		for k := 0; k < plain; k++ {
+			pp.Add(e, fn, filaments.Args{int64(k % 7), int64(k)})
+		}
+		if !ps.Inlined() || pp.Inlined() {
+			t.Errorf("inlined: strip %v, plain %v", ps.Inlined(), pp.Inlined())
+		}
+		for s := 1; s <= sweeps; s++ {
+			rt.RunPools(e)
+			if st := rt.Stats(); st.FilamentsRun != int64(s*(strip+plain)) || st.InlinedRun != int64(s*strip) {
+				t.Errorf("after sweep %d: run %d, inlined %d", s, st.FilamentsRun, st.InlinedRun)
+			}
+		}
+	})
+	if st := c.Runtime(0).Stats(); st.FilamentsCreated != strip+plain {
+		t.Errorf("created %d, want %d", st.FilamentsCreated, strip+plain)
+	}
+}

@@ -109,8 +109,12 @@ type fjState struct {
 	sendNext  bool // alternate send/keep during distribution
 
 	pending []task // local deque: back = newest (LIFO for locals, FIFO for steals)
-	joins   map[int64]*Join
-	nextID  int64
+	// unregistered holds stolen tasks whose function this node has not
+	// registered yet; RegisterFJ releases them (see acceptStolen).
+	unregistered []task
+
+	joins  map[int64]*Join
+	nextID int64
 
 	// joinWaiters are joins whose threads are blocked in Wait. Their Wait
 	// loops drain pending work, so when every worker is busy or blocked
@@ -173,6 +177,17 @@ func (rt *Runtime) RegisterFJ(id int, fn FJFunc) {
 		panic(fmt.Sprintf("filament: fork/join func %d registered twice", id))
 	}
 	fj.funcs[id] = fn
+	held := fj.unregistered
+	fj.unregistered = nil
+	for _, tk := range held {
+		rt.acceptStolen(tk)
+	}
+}
+
+// registered reports whether this node can run fork/join function id.
+// Task ids arrive from the wire, so any value is possible.
+func (rt *Runtime) registered(id int32) bool {
+	return id >= 0 && int(id) < len(rt.fj.funcs) && rt.fj.funcs[id] != nil
 }
 
 // RegisterFJRanges registers the range describer for the fork/join
@@ -517,19 +532,36 @@ func (rt *Runtime) trySteal(e *Exec) bool {
 			if mon := rt.monitor(); mon != nil {
 				mon.OnTaskStart(rt.node.ID(), taskKey(m.T), rt.node.Now())
 			}
-			rt.enqueue(m.T)
-			return true
+			return rt.acceptStolen(m.T)
 		}
 		rt.ctr.stealsDenied.Inc()
 	}
 	return false
 }
 
-// serveFork receives a distributed filament.
+// acceptStolen queues a task a victim granted and reports whether it is
+// runnable. A steal reply cannot be refused the way serveFork drops a
+// request, so a task whose function is not registered here yet is held
+// until RegisterFJ supplies it.
+func (rt *Runtime) acceptStolen(tk task) bool {
+	if !rt.registered(tk.Fn) {
+		rt.fj.unregistered = append(rt.fj.unregistered, tk)
+		return false
+	}
+	rt.enqueue(tk)
+	return true
+}
+
+// serveFork receives a distributed filament. A fork can outrun this
+// node's RegisterFJ (nothing orders the two); it is dropped, and the
+// sender's retransmission delivers it once the function is known.
 func (rt *Runtime) serveFork(from kernel.NodeID, req any) (any, int, kernel.Verdict) {
 	m := req.(forkMsg)
 	if rt.fj.done {
 		return nil, 8, kernel.Reply
+	}
+	if !rt.registered(m.T.Fn) {
+		return nil, 0, kernel.Drop
 	}
 	if mon := rt.monitor(); mon != nil {
 		mon.OnTaskStart(rt.node.ID(), taskKey(m.T), rt.node.Now())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"filaments"
+	"filaments/internal/filament"
 )
 
 // pingPongProgram generates steady DSM traffic: every node writes its own
@@ -40,13 +41,15 @@ func pingPongProgram(m filaments.Matrix, rounds int) filaments.Program {
 
 // TestStatsDuringUDPRun reads every node's DSM and Runtime stats — and the
 // cluster-wide metric aggregation — from a foreign goroutine while a
-// real-time run is moving pages and crossing barriers. Before the
-// observability layer, DSM.Stats and Runtime.Stats returned struct copies
-// without any synchronization with the node monitor, and this test failed
-// under -race; the counters are now lock-free atomics, so live snapshots
-// are legal from any goroutine.
+// real-time run is moving pages, crossing barriers and sweeping a pool.
+// Before the observability layer, DSM.Stats and Runtime.Stats returned
+// struct copies without any synchronization with the node monitor, and
+// this test failed under -race; the counters are now lock-free atomics, so
+// live snapshots are legal from any goroutine. The filament counters are
+// published in batches at flush points: a live reader must see them only
+// ever grow, and find the exact totals once Run returns.
 func TestStatsDuringUDPRun(t *testing.T) {
-	const nodes = 3
+	const nodes, fils, sweeps = 3, 4000, 3
 	c, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +60,7 @@ func TestStatsDuringUDPRun(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var last [nodes]filament.Stats
 		for {
 			select {
 			case <-stop:
@@ -65,16 +69,39 @@ func TestStatsDuringUDPRun(t *testing.T) {
 			}
 			for i := 0; i < nodes; i++ {
 				_ = c.DSM(i).Stats()
-				_ = c.Runtime(i).Stats()
+				st := c.Runtime(i).Stats()
+				if st.FilamentsRun < last[i].FilamentsRun || st.InlinedRun < last[i].InlinedRun ||
+					st.FilamentsCreated < last[i].FilamentsCreated {
+					t.Errorf("node %d: live filament counters went %+v -> %+v", i, last[i], st)
+				}
+				last[i] = st
 			}
 			_ = c.Metrics()
 		}
 	}()
-	rep, err := c.Run(pingPongProgram(m, 4))
+	pingPong := pingPongProgram(m, 4)
+	rep, err := c.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+		pingPong(rt, e)
+		p := rt.NewPool("strip")
+		for k := 0; k < fils; k++ {
+			p.Add(e, func(e *filaments.Exec, _ filaments.Args) { e.Compute(20 * filaments.Microsecond) },
+				filaments.Args{int64(k / 64), int64(k % 64)})
+		}
+		for s := 0; s < sweeps; s++ {
+			rt.RunPools(e)
+		}
+	})
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := 0; i < nodes; i++ {
+		st := c.Runtime(i).Stats()
+		if st.FilamentsCreated != fils || st.FilamentsRun != fils*sweeps || st.InlinedRun != fils*sweeps {
+			t.Errorf("node %d: created %d, run %d, inlined %d; want %d, %d, %d",
+				i, st.FilamentsCreated, st.FilamentsRun, st.InlinedRun, fils, fils*sweeps, fils*sweeps)
+		}
 	}
 	if len(rep.Metrics) == 0 {
 		t.Fatal("UDPReport.Metrics is empty")

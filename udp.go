@@ -563,6 +563,13 @@ func (r *UDPRun) Run(program Program) (*UDPReport, error) {
 	}
 	r.ran = true
 	r.mu.Unlock()
+	// The caller's goroutine filled every node's block table (Alloc), and
+	// a peer's page request can reach a node's handler goroutine before
+	// that node's own main has ever held the monitor. Passing through each
+	// monitor here orders the allocations before every later holder.
+	for _, n := range r.nodes {
+		n.WithLock(func() {})
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range r.nodes {
@@ -764,18 +771,24 @@ func (u *UDPNode) Metrics() []Sample {
 
 // Alloc reserves shared memory owned initially by node 0. Every process
 // must perform identical allocations in identical order.
-func (u *UDPNode) Alloc(size int64) Addr {
-	return u.space.Alloc(size, dsm.AllocOpts{})
-}
+func (u *UDPNode) Alloc(size int64) Addr { return u.AllocOwned(size, 0) }
 
 // AllocOwned reserves shared memory owned initially by the given node.
-func (u *UDPNode) AllocOwned(size int64, owner int) Addr {
-	return u.space.Alloc(size, dsm.AllocOpts{Owner: kernel.NodeID(owner)})
+// Allocation runs in node context: the endpoint has been live since
+// NewUDPNode, and a peer that started earlier may already be sending page
+// requests, so the block table must not grow outside the monitor its
+// handlers read it under.
+func (u *UDPNode) AllocOwned(size int64, owner int) (a Addr) {
+	u.node.WithLock(func() { a = u.space.Alloc(size, dsm.AllocOpts{Owner: kernel.NodeID(owner)}) })
+	return a
 }
 
 // AllocMatrixOwned allocates a shared matrix initially owned by one node.
-func (u *UDPNode) AllocMatrixOwned(rows, cols, owner int) Matrix {
-	return dsm.AllocMatrix(u.space, rows, cols, dsm.AllocOpts{Owner: kernel.NodeID(owner)})
+func (u *UDPNode) AllocMatrixOwned(rows, cols, owner int) (m Matrix) {
+	u.node.WithLock(func() {
+		m = dsm.AllocMatrix(u.space, rows, cols, dsm.AllocOpts{Owner: kernel.NodeID(owner)})
+	})
+	return m
 }
 
 // Close shuts the node down: the endpoint closes (failing any pending
