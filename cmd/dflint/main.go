@@ -1,8 +1,8 @@
 // Command dflint checks the kernel-seam contracts documented in
 // internal/kernel and enforced by internal/lint: no wall-clock time, raw
 // goroutines, sync primitives, or map-order dependence in kernel-layer
-// packages; no blocking calls in node-context handlers; gob and binary
-// codec registrations for every concrete wire payload; and the
+// packages; no blocking calls in node-context handlers; a binary codec
+// registration for every concrete wire payload and handler reply; and the
 // whole-program rules (codec symmetry, lock ordering, hot-path
 // allocation freedom, frame escape), plus the protocol-contract tier
 // (handler idempotence, the wire-tag namespace and WIRE.lock manifest,

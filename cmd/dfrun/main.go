@@ -52,8 +52,7 @@ func realMain() error {
 		tol     = flag.Float64("tol", 0, "quadrature tolerance (0 = paper default)")
 		proto   = flag.String("protocol", "", "DSM protocol override: migratory | wi | ii | lrc")
 		trans   = flag.String("transport", "sim", "binding: sim (virtual time) | udp (real loopback endpoints)")
-		codec   = flag.String("codec", "binary", "UDP wire codec: binary | gob (previous release's framing)")
-		noDiffs = flag.Bool("nodiffs", false, "disable twin-and-diff page shipping over UDP")
+		noDiffs = flag.Bool("nodiffs", false, "with -transport=udp: ship whole pages instead of twin-and-diff run-length diffs")
 		trace   = flag.String("trace", "", "write a Chrome trace-event JSON file (DF variants; load in about:tracing or Perfetto)")
 		metrics = flag.Bool("metrics", false, "print the cluster-wide metric aggregation after the run")
 		verbose = flag.Bool("v", false, "per-node counters")
@@ -83,8 +82,7 @@ func realMain() error {
 	switch *trans {
 	case "sim":
 	case "udp":
-		tuning := filaments.UDPTuning{Codec: *codec, NoDiffs: *noDiffs}
-		return runUDP(*app, *variant, *nodes, *n, *iters, *tol, protocol, tuning, tracer, *trace, *metrics, *verbose)
+		return runUDP(*app, *variant, *nodes, *n, *iters, *tol, protocol, *noDiffs, tracer, *trace, *metrics, *verbose)
 	default:
 		return fmt.Errorf("unknown -transport %q (sim | udp)", *trans)
 	}
@@ -201,33 +199,33 @@ func realMain() error {
 
 // runUDP executes the DF variant on the real-time binding: one UDP
 // endpoint per node on loopback, wall-clock timing. The DF variants of
-// jacobi, matmul, and quadrature run over udp — the seq/cg variants are
-// single-address-space programs and exprtree has not been ported to the
-// real-time binding. An error from the run — including the quiescence
+// jacobi, matmul, and quadrature run over udp — the seq/cg variants do
+// not use the cluster, and exprtree, fft and mergesort export only their
+// simulated DF entry point. An error from the run — including the quiescence
 // check (requests still outstanding after the last barrier) — returns
 // through realMain so teardown is never skipped.
-func runUDP(app, variant string, nodes, n, iters int, tol float64, protocol filaments.Protocol, tuning filaments.UDPTuning, tracer *filaments.Tracer, trace string, metrics, verbose bool) error {
+func runUDP(app, variant string, nodes, n, iters int, tol float64, protocol filaments.Protocol, noDiffs bool, tracer *filaments.Tracer, trace string, metrics, verbose bool) error {
 	if variant != "df" {
 		return fmt.Errorf("-transport=udp runs only -variant df (got %q): seq and cg do not use the cluster", variant)
 	}
 	var rep *filaments.UDPReport
 	switch app {
 	case "jacobi":
-		cfg := jacobi.Config{N: n, Iters: iters, Nodes: nodes, Protocol: protocol, Tracer: tracer, Tuning: tuning}
+		cfg := jacobi.Config{N: n, Iters: iters, Nodes: nodes, Protocol: protocol, Tracer: tracer, NoDiffs: noDiffs}
 		r, _, _, err := jacobi.DFUDP(cfg)
 		if err != nil {
 			return err
 		}
 		rep = r
 	case "matmul":
-		cfg := matmul.Config{N: n, Nodes: nodes, Protocol: protocol, Tracer: tracer, Tuning: tuning}
+		cfg := matmul.Config{N: n, Nodes: nodes, Protocol: protocol, Tracer: tracer, NoDiffs: noDiffs}
 		r, _, _, err := matmul.DFUDP(cfg)
 		if err != nil {
 			return err
 		}
 		rep = r
 	case "quadrature":
-		cfg := quadrature.Config{Tol: tol, Nodes: nodes, Tracer: tracer, Tuning: tuning}
+		cfg := quadrature.Config{Tol: tol, Nodes: nodes, Tracer: tracer, NoDiffs: noDiffs}
 		r, _, err := quadrature.DFUDP(cfg, true)
 		if err != nil {
 			return err

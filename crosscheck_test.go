@@ -53,22 +53,21 @@ func TestProtocolCrossCheck(t *testing.T) {
 		}
 	})
 
-	// The -codec=gob fallback must stay usable for one release, and page
-	// diffs must be strictly optional: one leg runs the legacy wire path
-	// (gob framing, whole pages) end to end.
-	t.Run("jacobi-gob-fallback", func(t *testing.T) {
+	// Page diffs must be strictly optional: one leg ships whole pages end
+	// to end (every other UDP leg runs with diffs on, the default).
+	t.Run("jacobi-whole-pages", func(t *testing.T) {
 		const n, iters = 32, 3
 		want := jacobi.Reference(n, iters)
 		cfg := jacobi.Config{
 			N: n, Iters: iters, Nodes: nodes,
 			Protocol: filaments.ImplicitInvalidate,
-			Tuning:   filaments.UDPTuning{Codec: "gob", NoDiffs: true},
+			NoDiffs:  true,
 		}
 		_, udpGrid, ucl, err := jacobi.DFUDP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareGrids(t, "udp-gob", udpGrid, want)
+		compareGrids(t, "udp-whole-pages", udpGrid, want)
 		if out := ucl.Outstanding(); out != 0 {
 			t.Errorf("udp cluster has %d outstanding requests after Run", out)
 		}

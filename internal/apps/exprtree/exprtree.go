@@ -21,15 +21,8 @@ import (
 	"filaments/internal/cost"
 	"filaments/internal/dsm"
 	"filaments/internal/msg"
-	"filaments/internal/rtnode"
 	"filaments/internal/simnet"
 )
-
-// The real-time binding serializes payloads with gob; the CG program
-// ships whole matrices through msg's envelope.
-func init() {
-	rtnode.RegisterWire([][]float64(nil))
-}
 
 // Config parameterizes a run.
 type Config struct {

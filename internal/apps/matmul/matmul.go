@@ -19,15 +19,8 @@ import (
 	"filaments"
 	"filaments/internal/cost"
 	"filaments/internal/msg"
-	"filaments/internal/rtnode"
 	"filaments/internal/simnet"
 )
-
-// The real-time binding serializes payloads with gob; the CG program
-// broadcasts B and ships matrix strips through msg's envelope.
-func init() {
-	rtnode.RegisterWire([][]float64(nil))
-}
 
 // Config parameterizes a run.
 type Config struct {
@@ -52,9 +45,9 @@ type Config struct {
 	// MirageWindow overrides the Mirage anti-thrashing window in the DF
 	// variants: 0 keeps the model default, negative disables it.
 	MirageWindow filaments.Duration
-	// Tuning collects the wall-clock wire-path knobs for the UDP variants
-	// (codec, page diffs, event batching); ignored by the simulation.
-	Tuning filaments.UDPTuning
+	// NoDiffs disables twin-and-diff page shipping in the UDP variants;
+	// ignored by the simulation, which always ships whole pages.
+	NoDiffs bool
 }
 
 func (c *Config) defaults() {
@@ -321,7 +314,7 @@ func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPCluster
 		Tracer:       cfg.Tracer,
 		Monitor:      cfg.Monitor,
 		MirageWindow: cfg.MirageWindow,
-		Tuning:       cfg.Tuning,
+		NoDiffs:      cfg.NoDiffs,
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -16,7 +16,6 @@ import (
 	"filaments"
 	"filaments/internal/cost"
 	"filaments/internal/msg"
-	"filaments/internal/rtnode"
 	"filaments/internal/simnet"
 )
 
@@ -25,12 +24,6 @@ import (
 type interval struct {
 	A, B float64
 	Done bool
-}
-
-// The real-time binding serializes payloads with gob; the CG programs'
-// payloads cross the wire inside msg's envelope.
-func init() {
-	rtnode.RegisterWire(interval{})
 }
 
 // Config parameterizes a run.
@@ -57,9 +50,9 @@ type Config struct {
 	// MirageWindow overrides the Mirage anti-thrashing window in the DF
 	// variants: 0 keeps the model default, negative disables it.
 	MirageWindow filaments.Duration
-	// Tuning collects the wall-clock wire-path knobs for the UDP variants
-	// (codec, page diffs, event batching); ignored by the simulation.
-	Tuning filaments.UDPTuning
+	// NoDiffs disables twin-and-diff page shipping in the UDP variants;
+	// ignored by the simulation, which always ships whole pages.
+	NoDiffs bool
 }
 
 func (c *Config) defaults() {
@@ -303,7 +296,7 @@ func DFUDP(cfg Config, stealing bool) (*filaments.UDPReport, float64, error) {
 		Tracer:       cfg.Tracer,
 		Monitor:      cfg.Monitor,
 		MirageWindow: cfg.MirageWindow,
-		Tuning:       cfg.Tuning,
+		NoDiffs:      cfg.NoDiffs,
 	})
 	if err != nil {
 		return nil, 0, err

@@ -77,7 +77,7 @@ type Row struct {
 }
 
 // UDPRow is one machine-readable row of a wall-clock UDP experiment:
-// one wire configuration's numbers. Cells are formatted strings for the
+// one configuration's numbers. Cells are formatted strings for the
 // same reason Row's are; WireBytes is exact, so it stays numeric.
 type UDPRow struct {
 	Config      string `json:"config"`

@@ -16,10 +16,8 @@ import (
 // experiments report calibrated virtual time and reproduce the paper's
 // numbers anywhere, while these report wall time on real loopback
 // sockets, so the absolute numbers depend on the host. What IS portable
-// is the ratio between wire-path configurations — the gob framing the
-// transport started with, the zero-allocation binary codec, and the
-// codec plus twin-and-diff page shipping — which is exactly what the
-// tables put side by side.
+// is the ratio between whole-page and twin-and-diff page shipping,
+// which is what udp_pages puts side by side.
 
 var udpRegistry []Experiment
 
@@ -43,20 +41,18 @@ func FindUDP(id string) (Experiment, bool) {
 }
 
 func init() {
-	registerUDP("udp_pages", "Page transfer throughput over loopback UDP, by wire configuration", udpPages)
-	registerUDP("udp_barrier", "Barrier latency over loopback UDP, by wire configuration", udpBarrier)
+	registerUDP("udp_pages", "Page transfer throughput over loopback UDP, whole pages vs diffs", udpPages)
+	registerUDP("udp_barrier", "Barrier latency over loopback UDP", udpBarrier)
 }
 
-// udpTunings is the wire-path sweep every UDP experiment runs: the
-// previous release's framing as the baseline, then each optimization
-// layered in.
-var udpTunings = []struct {
-	name   string
-	tuning filaments.UDPTuning
+// pageShipping is the ablation udp_pages sweeps: whole pages on every
+// fault as the baseline, then twin-and-diff shipping (the UDP default).
+var pageShipping = []struct {
+	name    string
+	noDiffs bool
 }{
-	{"gob", filaments.UDPTuning{Codec: "gob", NoDiffs: true}},
-	{"binary", filaments.UDPTuning{Codec: "binary", NoDiffs: true}},
-	{"binary+diffs", filaments.UDPTuning{Codec: "binary"}},
+	{"whole-pages", true},
+	{"diffs", false},
 }
 
 func wireBytes(rep *filaments.UDPReport) int64 {
@@ -67,7 +63,7 @@ func wireBytes(rep *filaments.UDPReport) int64 {
 	return n
 }
 
-// udpPages runs jacobi over loopback UDP under each wire configuration
+// udpPages runs jacobi over loopback UDP under each page-shipping mode
 // and reports wall time, page-transfer throughput, and total bytes put
 // on the wire. Jacobi is the page-traffic-bound program of the paper's
 // suite: every iteration moves boundary strips between neighbours, so
@@ -80,11 +76,11 @@ func udpPages(w io.Writer, o Options) {
 	fmt.Fprintf(w, "jacobi %dx%d, %d iterations, %d nodes over loopback UDP (wall clock)\n", n, n, iters, nodes)
 	fmt.Fprintf(w, "  %-14s %12s %12s %12s %12s\n",
 		"Config", "Elapsed(ms)", "Pages", "Pages/sec", "Wire KB")
-	for _, tc := range udpTunings {
+	for _, tc := range pageShipping {
 		cfg := jacobi.Config{
 			N: n, Iters: iters, Nodes: nodes,
 			Protocol: filaments.ImplicitInvalidate,
-			Tuning:   tc.tuning,
+			NoDiffs:  tc.noDiffs,
 		}
 		rep, _, _, err := jacobi.DFUDP(cfg)
 		if err != nil {
@@ -111,9 +107,9 @@ func udpPages(w io.Writer, o Options) {
 }
 
 // udpBarrier times a pure barrier loop over loopback UDP — the paper's
-// Figure 8 shape, but wall clock. Barriers ship tiny payloads, so this
-// isolates per-message software overhead (and is why event batching is
-// off by default: nothing here amortizes a held-back datagram).
+// Figure 8 shape, but wall clock. Barriers ship tiny payloads and no
+// pages, so this isolates per-message software overhead and page
+// shipping has nothing to vary: one row.
 func udpBarrier(w io.Writer, o Options) {
 	const nodes = 4
 	k := 200
@@ -121,35 +117,30 @@ func udpBarrier(w io.Writer, o Options) {
 		k = 50
 	}
 	fmt.Fprintf(w, "%d barriers, %d nodes over loopback UDP (wall clock)\n", k, nodes)
-	fmt.Fprintf(w, "  %-14s %12s %14s %12s\n", "Config", "Elapsed(ms)", "Barrier(µs)", "Wire KB")
-	for _, tc := range udpTunings {
-		cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-			Nodes:  nodes,
-			Tuning: tc.tuning,
-		})
-		if err != nil {
-			panic(err)
+	fmt.Fprintf(w, "  %12s %14s %12s\n", "Elapsed(ms)", "Barrier(µs)", "Wire KB")
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: nodes})
+	if err != nil {
+		panic(err)
+	}
+	rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+		for i := 0; i < k; i++ {
+			e.Barrier()
 		}
-		rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
-			for i := 0; i < k; i++ {
-				e.Barrier()
-			}
-		})
-		if err != nil {
-			panic(err)
-		}
-		perBarrier := rep.Elapsed / time.Duration(k)
-		r := UDPRow{
-			Config:    tc.name,
-			Nodes:     nodes,
-			ElapsedMS: fmt.Sprintf("%.1f", float64(rep.Elapsed.Microseconds())/1000),
-			BarrierUS: fmt.Sprintf("%.1f", float64(perBarrier.Nanoseconds())/1000),
-			WireBytes: wireBytes(rep),
-		}
-		fmt.Fprintf(w, "  %-14s %12s %14s %12.1f\n",
-			r.Config, r.ElapsedMS, r.BarrierUS, float64(r.WireBytes)/1024)
-		if o.result != nil {
-			o.result.UDPRows = append(o.result.UDPRows, r)
-		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	perBarrier := rep.Elapsed / time.Duration(k)
+	r := UDPRow{
+		Config:    "default",
+		Nodes:     nodes,
+		ElapsedMS: fmt.Sprintf("%.1f", float64(rep.Elapsed.Microseconds())/1000),
+		BarrierUS: fmt.Sprintf("%.1f", float64(perBarrier.Nanoseconds())/1000),
+		WireBytes: wireBytes(rep),
+	}
+	fmt.Fprintf(w, "  %12s %14s %12.1f\n",
+		r.ElapsedMS, r.BarrierUS, float64(r.WireBytes)/1024)
+	if o.result != nil {
+		o.result.UDPRows = append(o.result.UDPRows, r)
 	}
 }

@@ -83,7 +83,7 @@ func (a *Agent) call(svc uint16, msg any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, ok := cluster.DecodeWire(reply)
+	v, ok := rtnode.DecodePayload(reply)
 	if !ok {
 		return nil, fmt.Errorf("daemon: malformed ack from coordinator")
 	}

@@ -40,8 +40,9 @@ type Config struct {
 	QueueDepth int
 	// TickEvery is the failure-detector cadence (default 250 ms).
 	TickEvery time.Duration
-	// Tuning collects the wall-clock wire-path knobs, cluster-wide.
-	Tuning filaments.UDPTuning
+	// NoDiffs disables twin-and-diff page shipping, cluster-wide (see
+	// filaments.UDPConfig.NoDiffs).
+	NoDiffs bool
 }
 
 func (c *Config) defaults() {
@@ -87,7 +88,7 @@ type Coordinator struct {
 // own compute nodes, and starts the scheduler and failure detector.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg.defaults()
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: cfg.Nodes, Tuning: cfg.Tuning})
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: cfg.Nodes, NoDiffs: cfg.NoDiffs})
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +159,7 @@ func (co *Coordinator) tickLoop() {
 // on its own schedule), never panics.
 
 func (co *Coordinator) handleJoin(from *net.UDPAddr, req []byte) ([]byte, bool) {
-	v, ok := cluster.DecodeWire(req)
+	v, ok := rtnode.DecodePayload(req)
 	if !ok {
 		return nil, true
 	}
@@ -175,7 +176,7 @@ func (co *Coordinator) handleJoin(from *net.UDPAddr, req []byte) ([]byte, bool) 
 }
 
 func (co *Coordinator) handleBeat(from *net.UDPAddr, req []byte) ([]byte, bool) {
-	v, ok := cluster.DecodeWire(req)
+	v, ok := rtnode.DecodePayload(req)
 	if !ok {
 		return nil, true
 	}
@@ -191,7 +192,7 @@ func (co *Coordinator) handleBeat(from *net.UDPAddr, req []byte) ([]byte, bool) 
 }
 
 func (co *Coordinator) handleLeave(from *net.UDPAddr, req []byte) ([]byte, bool) {
-	v, ok := cluster.DecodeWire(req)
+	v, ok := rtnode.DecodePayload(req)
 	if !ok {
 		return nil, true
 	}

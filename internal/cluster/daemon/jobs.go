@@ -24,8 +24,7 @@ const (
 )
 
 // JobSpec is what a client submits: which app to run and its problem
-// shape. Cluster size, codec, and event batching are daemon-wide and
-// not per job.
+// shape. Cluster size and page diffs are daemon-wide and not per job.
 type JobSpec struct {
 	// App is the program to run: jacobi, matmul, or quadrature.
 	App string `json:"app"`

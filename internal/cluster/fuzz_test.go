@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -10,12 +9,11 @@ import (
 )
 
 // FuzzMembershipRoundTrip frames every membership payload (wire tags
-// 48–53) under both codecs the transport supports — the legacy gob
-// framing and the binary codec — and asserts each decodes to the
-// original value and that the two agree, the same differential
-// discipline as dsm's FuzzLRCFlushRoundTrip. The membership messages
-// are the cluster's front door, so their wire behavior is pinned per
-// message rather than trusted to the shared registry.
+// 48–53) exactly as the transport does and asserts each decodes to the
+// original value, the same discipline as dsm's FuzzLRCFlushRoundTrip.
+// The membership messages are the cluster's front door, so their wire
+// behavior is pinned per message rather than trusted to the shared
+// registry.
 func FuzzMembershipRoundTrip(f *testing.F) {
 	f.Add("", uint64(0), int64(0), false)
 	f.Add("127.0.0.1:9000", uint64(1), int64(50_000_000), true)
@@ -31,36 +29,16 @@ func FuzzMembershipRoundTrip(f *testing.F) {
 			LeaveAck{Gen: gen},
 		}
 		for _, in := range msgs {
-			// Leg 1: the legacy gob framing, exactly as CodecGob sends it.
-			var buf bytes.Buffer
-			framed := in
-			if err := gob.NewEncoder(&buf).Encode(&framed); err != nil {
-				t.Fatalf("%T: gob encode: %v", in, err)
-			}
-			var gobGot any
-			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&gobGot); err != nil {
-				t.Fatalf("%T: gob decode: %v", in, err)
-			}
-			if !reflect.DeepEqual(gobGot, in) {
-				t.Fatalf("gob round trip changed value:\n sent %#v\n got  %#v", in, gobGot)
-			}
-
-			// Leg 2: the binary codec, exactly as CodecBinary sends it.
-			binGot := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-			if !reflect.DeepEqual(binGot, in) {
-				t.Fatalf("binary round trip changed value:\n sent %#v\n got  %#v", in, binGot)
-			}
-
-			// Differential: both codecs must deliver the identical struct.
-			if !reflect.DeepEqual(binGot, gobGot) {
-				t.Fatalf("codecs disagree:\n gob    %#v\n binary %#v", gobGot, binGot)
+			got, ok := rtnode.DecodePayload(rtnode.AppendPayload(nil, in))
+			if !ok || !reflect.DeepEqual(got, in) {
+				t.Fatalf("round trip changed value (ok=%v):\n sent %#v\n got  %#v", ok, in, got)
 			}
 		}
 	})
 }
 
 // FuzzMembershipDecode feeds raw bytes into the defensive decode path
-// the coordinator uses for unauthenticated datagrams: DecodeWire must
+// the coordinator uses for unauthenticated datagrams: DecodePayload must
 // reject or accept without panicking, and anything it accepts must
 // re-encode and re-decode to the same value.
 func FuzzMembershipDecode(f *testing.F) {
@@ -73,7 +51,7 @@ func FuzzMembershipDecode(f *testing.F) {
 	f.Add(rtnode.MarshalPayload(BeatAck{Gen: 9, Known: true}))
 	f.Add(rtnode.MarshalPayload(LeaveAck{Gen: 3}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		v, ok := DecodeWire(raw)
+		v, ok := rtnode.DecodePayload(raw)
 		if !ok || v == nil {
 			return
 		}
@@ -82,7 +60,7 @@ func FuzzMembershipDecode(f *testing.F) {
 		default:
 			return // some other registered payload's tag: not ours to pin
 		}
-		again, ok := DecodeWire(rtnode.MarshalPayload(v))
+		again, ok := rtnode.DecodePayload(rtnode.MarshalPayload(v))
 		if !ok {
 			t.Fatalf("re-encoding an accepted payload produced a rejected buffer: %#v", v)
 		}

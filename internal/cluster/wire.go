@@ -11,8 +11,9 @@ import (
 // above the lane space (rtnode.MaxLanes*rtnode.LaneStride = 0x1000), so
 // a daemon needs exactly one socket for both roles. Payloads use the
 // binary wire codec under tags 48–53 (see the tag map in
-// rtnode/codec.go); gob registration keeps the `-codec=gob` fallback
-// working.
+// rtnode/codec.go). The services face the open network — any host can
+// send a datagram at them — so their handlers decode with
+// rtnode.DecodePayload and drop what it rejects.
 
 // Service ids for the membership services on the coordinator's endpoint.
 const (
@@ -60,8 +61,6 @@ type LeaveAck struct {
 }
 
 func init() {
-	rtnode.RegisterWire(JoinMsg{}, JoinAck{}, BeatMsg{}, BeatAck{}, LeaveMsg{}, LeaveAck{})
-
 	rtnode.RegisterWireCodec(JoinMsg{}, 48,
 		func(e *rtnode.Enc, v any) { e.String(v.(JoinMsg).Addr) },
 		func(d *rtnode.Dec) any { return JoinMsg{Addr: d.String()} })
@@ -98,18 +97,4 @@ func init() {
 	rtnode.RegisterWireCodec(LeaveAck{}, 53,
 		func(e *rtnode.Enc, v any) { e.Uvarint(v.(LeaveAck).Gen) },
 		func(d *rtnode.Dec) any { return LeaveAck{Gen: d.Uvarint()} })
-}
-
-// DecodeWire decodes a membership payload defensively. Kernel traffic
-// may assume validated peers and panic on corruption, but the membership
-// services are the cluster's front door — any host can send a datagram
-// at them — so a malformed payload must be a dropped request, not a
-// crashed coordinator.
-func DecodeWire(b []byte) (v any, ok bool) {
-	defer func() {
-		if recover() != nil {
-			v, ok = nil, false
-		}
-	}()
-	return rtnode.UnmarshalPayload(b), true
 }

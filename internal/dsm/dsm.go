@@ -7,7 +7,6 @@ import (
 
 	"filaments/internal/kernel"
 	"filaments/internal/obs"
-	"filaments/internal/rtnode"
 )
 
 // Service IDs used by the DSM on each node's transport endpoint.
@@ -67,12 +66,6 @@ type redirect struct {
 }
 
 type invalReq struct{ Block int32 }
-
-// The real-time binding serializes payloads with gob; declaring the wire
-// types lets them travel as interface values.
-func init() {
-	rtnode.RegisterWire(pageReq{}, pageData{}, redirect{}, invalReq{}, lrcFlush{})
-}
 
 const reqSize = 16 // bytes on the wire for a small DSM request
 

@@ -2,18 +2,16 @@ package dsm
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
 	"filaments/internal/rtnode"
 )
 
-// FuzzLRCFlushRoundTrip frames an LRC release flush (wire tag 20) under
-// both codecs the transport supports — the legacy gob framing and the
-// binary codec — and asserts each decodes to the original value and that
-// the two agree (differential check, same discipline as rtnode's
-// FuzzWireRoundTrip). lrcFlush is the one page-protocol payload with a
+// FuzzLRCFlushRoundTrip frames an LRC release flush (wire tag 20)
+// exactly as the transport does and asserts it decodes to the original
+// value (same discipline as rtnode's FuzzWireRoundTrip; arbitrary bytes
+// are FuzzLRCFlushDecode's job). lrcFlush is the one page-protocol payload with a
 // nested length-prefixed sequence (per-block diff blobs), which is
 // exactly where count/width bugs hide. Seeds cover the empty flush, a
 // single block, shared diff tails, and counts past the single-byte
@@ -33,46 +31,19 @@ func FuzzLRCFlushRoundTrip(f *testing.F) {
 			}
 			in.Diffs = append(in.Diffs, diffs[lo:])
 		}
-		want := normalizeFlush(in)
-
-		// Leg 1: the legacy gob framing, exactly as CodecGob sends it.
-		var buf bytes.Buffer
-		var framed any = in
-		if err := gob.NewEncoder(&buf).Encode(&framed); err != nil {
-			t.Fatalf("gob encode: %v", err)
+		out, ok := rtnode.DecodePayload(rtnode.AppendPayload(nil, in))
+		got, isFlush := out.(lrcFlush)
+		if !ok || !isFlush {
+			t.Fatalf("round trip changed type: sent %T, got %T (ok=%v)", in, out, ok)
 		}
-		var out any
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-		gobGot, ok := out.(lrcFlush)
-		if !ok {
-			t.Fatalf("gob round trip changed type: sent %T, got %T", in, out)
-		}
-		if !reflect.DeepEqual(normalizeFlush(gobGot), want) {
-			t.Fatalf("gob round trip changed value:\n sent %#v\n got  %#v", in, gobGot)
-		}
-
-		// Leg 2: the binary codec, exactly as CodecBinary sends it.
-		bout := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-		binGot, ok := bout.(lrcFlush)
-		if !ok {
-			t.Fatalf("binary round trip changed type: sent %T, got %T", in, bout)
-		}
-		if !reflect.DeepEqual(normalizeFlush(binGot), want) {
-			t.Fatalf("binary round trip changed value:\n sent %#v\n got  %#v", in, binGot)
-		}
-
-		// Differential: both codecs must deliver the identical struct.
-		if !reflect.DeepEqual(normalizeFlush(binGot), normalizeFlush(gobGot)) {
-			t.Fatalf("codecs disagree:\n gob    %#v\n binary %#v", gobGot, binGot)
+		if !reflect.DeepEqual(normalizeFlush(got), normalizeFlush(in)) {
+			t.Fatalf("round trip changed value:\n sent %#v\n got  %#v", in, got)
 		}
 	})
 }
 
 // FuzzLRCFlushDecode feeds raw bytes straight into the tag-20 decoder:
-// it must reject or accept without panicking (the decoder runs before
-// UnmarshalPayload's corruption check), and anything it accepts must
+// it must reject or accept without panicking, and anything it accepts must
 // re-encode and re-decode to the same value, so a lenient decode can't
 // smuggle an unencodable state into serveFlush.
 func FuzzLRCFlushDecode(f *testing.F) {
@@ -103,7 +74,7 @@ func FuzzLRCFlushDecode(f *testing.F) {
 }
 
 // normalizeFlush maps zero-length slices to nil at every level, since
-// neither codec gives nil-versus-empty a wire meaning.
+// the codec gives nil-versus-empty no wire meaning.
 func normalizeFlush(m lrcFlush) lrcFlush {
 	if len(m.Blocks) == 0 {
 		m.Blocks = nil

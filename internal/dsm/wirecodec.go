@@ -78,7 +78,7 @@ func decLRCFlushInto(d *rtnode.Dec, m *lrcFlush) {
 		m.Diffs = append(m.Diffs, d.Bytes())
 	}
 	if len(m.Blocks) == 0 {
-		m.Blocks, m.Diffs = nil, nil // normalize like gob
+		m.Blocks, m.Diffs = nil, nil // nil-vs-empty carries no wire meaning
 	}
 }
 
@@ -129,6 +129,6 @@ func decPageDataInto(d *rtnode.Dec, m *pageData) {
 		m.Copyset = append(m.Copyset, kernel.NodeID(d.Varint()))
 	}
 	if len(m.Copyset) == 0 {
-		m.Copyset = nil // nil-vs-empty carries no wire meaning; normalize like gob
+		m.Copyset = nil // nil-vs-empty carries no wire meaning
 	}
 }

@@ -10,9 +10,9 @@ import (
 // CodecSym statically matches the encode and decode halves of every
 // binary wire codec registered with rtnode.RegisterWireCodec.
 //
-// The hand-rolled codec (rtnode/codec.go) exists because gob's
-// per-message overhead is exactly the software cost the paper says
-// kills fine-grain parallelism on a cluster — but unlike gob it is not
+// The hand-rolled codec (rtnode/codec.go) exists because a reflective
+// encoder's per-message overhead is exactly the software cost the paper
+// says kills fine-grain parallelism on a cluster — but it is not
 // self-describing: nothing at runtime checks that the field sequence
 // Enc writes is the sequence Dec reads. A drifted pair (a field added
 // to one side, a Varint read where a Uvarint was written, two fields
@@ -20,7 +20,7 @@ import (
 // wrong fields and corrupts pages in flight. This analyzer recovers
 // each half's wire shape — the ordered sequence of primitive reads or
 // writes, with length-prefixed repetition, fixed-size array repetition,
-// conditional segments, and the EncodeAny/DecodeAny gob escape hatch —
+// conditional segments, and the EncodeAny/DecodeAny nesting point —
 // by walking the registered functions and, interprocedurally, the
 // same-package helpers they call (encPageData, decTask, ...), then
 // requires the two shapes to match op for op: count, order, and width.
@@ -378,7 +378,7 @@ func (x *shapeExtractor) expr(e ast.Expr) []shapeNode {
 }
 
 // call handles one call: argument ops first (evaluation order), then
-// the call itself — a primitive, the escape hatch, an inlined
+// the call itself — a primitive, the EncodeAny/DecodeAny pair, an inlined
 // same-package helper, or an ignorable leaf.
 func (x *shapeExtractor) call(c *ast.CallExpr) []shapeNode {
 	var out []shapeNode

@@ -10,7 +10,7 @@ import (
 // HotAlloc proves //dflint:hotpath-marked functions allocation-free.
 //
 // The marked functions are the per-message kernel inner loops — codec
-// Enc/Dec primitives, page-diff apply/merge, the UDP batching flush —
+// Enc/Dec primitives, page-diff apply/merge, udptrans frame append —
 // where one heap allocation per call turns into megabytes per second of
 // garbage at the paper's message rates and shows up directly in the
 // null-latency and bandwidth figures. The rule walks the program call
@@ -27,7 +27,7 @@ import (
 //     small ones, and constant boxes are loop-invariant)
 //   - string<->[]byte conversions, which copy
 //   - closures and go statements
-//   - calls into stdlib packages known to allocate (fmt, gob, reflect,
+//   - calls into stdlib packages known to allocate (fmt, reflect,
 //     sort, strings, strconv); other bodiless callees are trusted
 //
 // Dynamic calls (interface methods, function values) are trusted: the
@@ -36,20 +36,19 @@ import (
 // arguments are the cold path and exempt.
 var HotAlloc = &ProgramAnalyzer{
 	Name: "hotalloc",
-	Doc: "prove //dflint:hotpath functions (codec primitives, diff apply/merge, batch " +
-		"flush) allocation-free across the whole call graph",
+	Doc: "prove //dflint:hotpath functions (codec primitives, diff apply/merge, frame " +
+		"append) allocation-free across the whole call graph",
 	Run: runHotAlloc,
 }
 
 // allocStdlib is the deny-list of bodiless callees: stdlib packages a
 // hot path must not enter because their common entry points allocate.
 var allocStdlib = map[string]bool{
-	"fmt":          true,
-	"encoding/gob": true,
-	"reflect":      true,
-	"sort":         true,
-	"strings":      true,
-	"strconv":      true,
+	"fmt":     true,
+	"reflect": true,
+	"sort":    true,
+	"strings": true,
+	"strconv": true,
 }
 
 func runHotAlloc(pass *ProgramPass) {

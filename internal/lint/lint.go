@@ -49,7 +49,6 @@ func Analyzers() []*Analyzer {
 		KernelSpawn,
 		HandlerNoBlock,
 		MapRange,
-		GobReg,
 		SharedRange,
 		LoopCapture,
 		BarrierPhase,

@@ -23,10 +23,6 @@ func TestMapRange(t *testing.T) {
 	linttest.Run(t, "testdata/src", "maprange", lint.MapRange)
 }
 
-func TestGobReg(t *testing.T) {
-	linttest.Run(t, "testdata/src", "gobreg", lint.GobReg)
-}
-
 func TestSharedRange(t *testing.T) {
 	linttest.Run(t, "testdata/src", "sharedrange", lint.SharedRange)
 }

@@ -7,7 +7,7 @@
 // Fixtures live under a source root (testdata/src in the lint package's
 // tests) laid out as one directory per import path. Imports resolve
 // inside the same tree, so fixtures depend on small fake copies of time,
-// sync, encoding/gob, kernel, and rtnode rather than on the real
+// sync, kernel, and rtnode rather than on the real
 // packages — the analyzers accept a bare final import-path element
 // ("kernel") precisely so these hermetic fakes exercise them.
 package linttest

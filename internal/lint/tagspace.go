@@ -22,12 +22,17 @@ import (
 //     0x7F00 test base) claiming one tag for different types is an
 //     error at the second site, whether or not any binary links both;
 //
-//   - codec coverage: a module-defined struct type passed as the
-//     payload of Transport.Call, Send, RequestAsync, or RequestSized
-//     must have a registered binary codec. Without one it silently
-//     rides the gob escape hatch (tag 1), which works — at the
-//     per-message cost the paper's Table 2 says kills fine-grain
-//     parallelism, and invisibly to the WIRE.lock manifest.
+//   - codec coverage: a module-defined struct type that reaches the
+//     wire must have a registered binary codec. The sites are the
+//     payload of Transport.Call, Send, RequestAsync, or RequestSized,
+//     the payload of msg.Endpoint.Send or Broadcast (the CG programs),
+//     and the reply operand of every return in a kernel.Service handler
+//     (pageData, redirect and stealReply travel only that way). The
+//     simulation binding passes payloads by reference, so an
+//     unregistered type works in every simulated test — and then
+//     rtnode.EncodeAny panics on the first real message. Interface-typed
+//     operands (forwarding an `any` received elsewhere) are skipped: the
+//     dynamic type is checked where the concrete value was made.
 //
 // The third guarantee, wire-format *stability*, lives in the WIRE.lock
 // manifest (WireTags/FormatWireLock/DiffWireLock, driven by
@@ -40,7 +45,7 @@ import (
 // `dflint -fix-wirelock` after a reviewed protocol change.
 var TagSpace = &ProgramAnalyzer{
 	Name: "tagspace",
-	Doc: "whole-module wire-tag map: no duplicate tags, every Transport payload " +
+	Doc: "whole-module wire-tag map: no duplicate tags, every payload and handler-reply " +
 		"type reaches a registered binary codec, WIRE.lock drift detection",
 	Run: runTagSpace,
 }
@@ -61,7 +66,7 @@ type wireReg struct {
 	testFile bool
 }
 
-// collectRegistrations finds every RegisterWireCodec call in the
+// collectWireRegs finds every RegisterWireCodec call in the
 // program, deduplicated by position (test variants re-load files).
 func collectWireRegs(prog *Program) []wireReg {
 	var regs []wireReg
@@ -152,31 +157,44 @@ func runTagSpace(pass *ProgramPass) {
 		}
 	}
 
-	// Codec coverage for Transport payloads.
+	// Codec coverage for everything that reaches the wire.
 	registered := make(map[string]bool)
 	for _, r := range regs {
 		registered[r.typeKey] = true
 	}
 	for _, u := range pass.Program.Units {
+		unit := u
+		check := func(e ast.Expr, what string) {
+			t, name := modulePayloadStruct(unit.Info, e)
+			if t != "" && !registered[t] {
+				pass.Reportf(e.Pos(),
+					"%s type %s reaches the wire with no registered binary codec (the encoder panics on it): add a RegisterWireCodec for it or //dflint:allow tagspace",
+					what, name)
+			}
+		}
+		checkReplies := func(body *ast.BlockStmt) {
+			inspectSkipNestedFuncs(body, func(n ast.Node) bool {
+				if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 3 {
+					check(ret.Results[0], "handler reply")
+				}
+				return true
+			})
+		}
 		for _, f := range u.Files {
-			unit := u
 			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				arg, ok := transportPayloadArg(unit.Info, call)
-				if !ok {
-					return true
-				}
-				t, name := modulePayloadStruct(unit.Info, arg)
-				if t == "" {
-					return true
-				}
-				if !registered[t] {
-					pass.Reportf(arg.Pos(),
-						"payload type %s reaches the wire with no registered binary codec (gob escape hatch): add a RegisterWireCodec for it or //dflint:allow tagspace",
-						name)
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					if arg, ok := wirePayloadArg(unit.Info, n); ok {
+						check(arg, "payload")
+					}
+				case *ast.FuncDecl:
+					if fn, ok := unit.Info.Defs[n.Name].(*types.Func); ok && n.Body != nil && isHandlerSig(fn.Type()) {
+						checkReplies(n.Body)
+					}
+				case *ast.FuncLit:
+					if tv, ok := unit.Info.Types[n]; ok && isHandlerSig(tv.Type) {
+						checkReplies(n.Body)
+					}
 				}
 				return true
 			})
@@ -184,22 +202,23 @@ func runTagSpace(pass *ProgramPass) {
 	}
 }
 
-// transportPayloadArg returns the payload argument of a kernel
-// Transport call (Call, Send, RequestAsync, RequestSized), matching by
-// method name plus an `any`-typed parameter at the known position so
-// unrelated Send methods don't match.
-func transportPayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
+// wirePayloadSites maps the sending methods to the positions their
+// payload parameter can take: Send is (dst, payload, …) on a kernel
+// Transport and (dst, tag, payload, …) on msg.Endpoint.
+var wirePayloadSites = map[string][]int{
+	"Call":         {3},
+	"Send":         {1, 2},
+	"RequestAsync": {2},
+	"RequestSized": {2},
+	"Broadcast":    {1},
+}
+
+// wirePayloadArg returns the payload argument of a kernel Transport or
+// msg.Endpoint send, matching by method name plus an `any`-typed
+// parameter at a known position so unrelated Send methods don't match.
+func wirePayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return nil, false
-	}
-	idx, known := map[string]int{
-		"Call":         3,
-		"Send":         1,
-		"RequestAsync": 2,
-		"RequestSized": 2,
-	}[sel.Sel.Name]
-	if !known {
 		return nil, false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
@@ -207,14 +226,29 @@ func transportPayloadArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) 
 		return nil, false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() <= idx || len(call.Args) <= idx {
+	if !ok {
 		return nil, false
 	}
-	iface, ok := sig.Params().At(idx).Type().Underlying().(*types.Interface)
-	if !ok || !iface.Empty() {
-		return nil, false
+	for _, idx := range wirePayloadSites[sel.Sel.Name] {
+		if sig.Params().Len() <= idx || len(call.Args) <= idx {
+			continue
+		}
+		if iface, ok := sig.Params().At(idx).Type().Underlying().(*types.Interface); ok && iface.Empty() {
+			return call.Args[idx], true
+		}
 	}
-	return call.Args[idx], true
+	return nil, false
+}
+
+// isHandlerSig reports whether t is the kernel.Service handler
+// signature func(NodeID, any) (any, int, Verdict).
+func isHandlerSig(t types.Type) bool {
+	sig, ok := t.(*types.Signature)
+	if !ok || sig.Params().Len() != 2 || sig.Results().Len() != 3 {
+		return false
+	}
+	return isKernelType(sig.Params().At(0).Type(), "NodeID") &&
+		isKernelType(sig.Results().At(2).Type(), "Verdict")
 }
 
 // modulePayloadStruct resolves arg's static type to a module-declared

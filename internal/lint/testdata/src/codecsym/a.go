@@ -148,7 +148,7 @@ func init() {
 			return m
 		})
 
-	// The gob escape hatch: EncodeAny must pair with DecodeAny.
+	// The interface nesting point: EncodeAny must pair with DecodeAny.
 	rtnode.RegisterWireCodec(envelope{}, 21,
 		func(e *rtnode.Enc, v any) {
 			m := v.(envelope)

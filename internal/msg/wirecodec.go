@@ -4,9 +4,9 @@ import "filaments/internal/rtnode"
 
 // Binary wire codec for the CG envelope (tag 40; see the tag map in
 // rtnode/codec.go). Data is an interface, so the envelope recurses
-// through EncodeAny/DecodeAny: a registered payload type ([][]float64,
-// the CG matrix shape) nests its binary form, anything else nests the gob
-// escape hatch.
+// through EncodeAny/DecodeAny: the payload ([][]float64, the CG matrix
+// shape, or quadrature's interval) nests its own tagged binary form, so
+// every type a CG program ships needs a registered codec.
 func init() {
 	rtnode.RegisterWireCodec(wire{}, 40,
 		func(e *rtnode.Enc, v any) {

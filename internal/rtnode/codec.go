@@ -1,43 +1,37 @@
 package rtnode
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 )
 
 // The binary wire codec.
 //
-// The real-time transport originally gob-encoded every payload as an
-// interface value. Gob is self-describing and safe, but it costs dozens
-// of allocations and a reflection walk per message — on the page-transfer
-// hot path that software overhead is exactly what the paper says kills
-// fine-grain parallelism on a cluster. This file replaces it with a
-// hand-rolled binary codec: each wire struct registers an explicit
-// encoder/decoder under a small numeric tag (RegisterWireCodec, next to
-// the gob registration the dflint gobreg analyzer already enforces), and
-// the encode path appends into caller-provided buffers so a page message
-// round-trips with zero codec allocations.
+// Every payload that crosses the real-time binding is framed here, and
+// nowhere else: each wire struct registers an explicit encoder/decoder
+// under a small numeric tag (RegisterWireCodec, from an init in the
+// package that sends it), and the encode path appends into
+// caller-provided buffers so a page message round-trips with zero codec
+// allocations. Per-message software overhead is exactly what the paper
+// says kills fine-grain parallelism on a cluster, which is why there is
+// no reflective or self-describing fallback: a type without a codec is a
+// programmer error, reported at the first encode (and, statically, by
+// the dflint tagspace analyzer).
 //
-// Frame format of one payload (CodecBinary mode):
+// Frame format of one payload:
 //
 //	empty            — nil payload (steal probes, ack-only replies)
 //	uvarint tag, body — tagged value
 //
-// Tag 1 is the gob escape hatch: a type registered with RegisterWire but
-// without a binary codec still crosses the wire as a length-prefixed gob
-// blob, so the codec migration never silently strands a payload type.
-// Tag 0 is nil (needed for nested nil values, e.g. msg envelopes). Tags
-// 8–15 are reserved for builtin shapes registered by this package
-// ([][]float64); kernel packages use 16 and up.
-//
-// CodecGob mode keeps the previous release's framing bit for bit (a raw
-// gob stream, no tag), selected with `-codec=gob` on the CLIs. The codec
-// is a cluster-wide setting: every node must agree, like the protocol.
+// Tag 0 is nil (needed for nested nil values, e.g. msg envelopes). Tag 1
+// is reserved and never reused: it framed a self-describing fallback in
+// earlier releases, so a frame carrying it is malformed, not
+// misinterpreted. Tags 8–15 are reserved for builtin shapes registered by
+// this package ([][]float64); kernel packages use 16 and up.
 //
 // Decoded values may alias the input buffer ([]byte fields are not
 // copied). The transport owns the buffer until the handler or callback
@@ -47,9 +41,9 @@ import (
 
 // Builtin tags (8–15) and the reserved structural tags.
 const (
-	tagNil     = 0
-	tagGob     = 1
-	tagF64Grid = 8 // [][]float64, the shape every CG program ships
+	tagNil      = 0
+	tagReserved = 1 // see the frame format above; never assign
+	tagF64Grid  = 8 // [][]float64, the shape every CG program ships
 	// TagTestBase and up are reserved for test-only registrations, so
 	// fixture codecs can never collide with kernel tags.
 	TagTestBase = 0x7F00
@@ -95,8 +89,8 @@ func (e *Enc) Bool(b bool) {
 }
 
 // Bytes appends a length-prefixed byte slice. nil and empty encode
-// identically: the wire contract (pinned by the rtnode fuzz test since
-// the gob era) is that nil-versus-empty carries no protocol meaning.
+// identically: the wire contract (pinned by the rtnode fuzz test) is
+// that nil-versus-empty carries no protocol meaning.
 //
 //dflint:hotpath
 func (e *Enc) Bytes(b []byte) {
@@ -221,9 +215,9 @@ type wireCodec struct {
 	dec func(*Dec) any
 }
 
-// The codec registry. Like the gob registry above it, registration
-// happens from package inits (and test setup) before any traffic flows,
-// so lookups run unlocked on the hot path.
+// The codec registry. Registration happens from package inits (and test
+// setup) before any traffic flows, so lookups run unlocked on the hot
+// path.
 var (
 	codecMu     sync.Mutex
 	codecByType = make(map[reflect.Type]wireCodec)
@@ -234,15 +228,13 @@ var (
 // concrete type under tag. Tags must be unique (16 and up for kernel
 // packages, TagTestBase and up for tests; 8–15 are this package's
 // builtins). enc receives a value of proto's exact type; dec must return
-// one. A type without a registered codec still crosses the wire via the
-// gob escape hatch, so registration is an optimization, not a liveness
-// requirement — but the hot-path types (pages, forks, barriers) all have
-// one.
+// one. Registration is a liveness requirement: EncodeAny panics on a type
+// that has no codec.
 func RegisterWireCodec(proto any, tag uint16, enc func(*Enc, any), dec func(*Dec) any) {
 	if proto == nil {
 		panic("rtnode.RegisterWireCodec: nil prototype")
 	}
-	if tag == tagNil || tag == tagGob {
+	if tag == tagNil || tag == tagReserved {
 		panic(fmt.Sprintf("rtnode.RegisterWireCodec: tag %d is reserved", tag))
 	}
 	t := reflect.TypeOf(proto)
@@ -259,47 +251,41 @@ func RegisterWireCodec(proto any, tag uint16, enc func(*Enc, any), dec func(*Dec
 	codecByTag[tag] = c
 }
 
-// EncodeAny appends v's tagged encoding to e: nil, a registered binary
-// codec, or the length-prefixed gob escape hatch. It is the recursion
-// point for envelope codecs whose payload is an interface (msg's wire
-// struct).
+// WireTypes returns every type with a registered codec, sorted by name.
+func WireTypes() []reflect.Type {
+	codecMu.Lock()
+	defer codecMu.Unlock()
+	out := make([]reflect.Type, 0, len(codecByType))
+	for t := range codecByType {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	return out
+}
+
+// EncodeAny appends v's tagged encoding to e: nil or a registered codec.
+// It is the recursion point for envelope codecs whose payload is an
+// interface (msg's wire struct). An unregistered type panics — a
+// programmer error, caught the first time the type is sent.
 func EncodeAny(e *Enc, v any) {
 	if v == nil {
 		e.Uvarint(tagNil)
 		return
 	}
-	if c, ok := codecByType[reflect.TypeOf(v)]; ok {
-		e.Uvarint(uint64(c.tag))
-		c.enc(e, v)
-		return
+	c, ok := codecByType[reflect.TypeOf(v)]
+	if !ok {
+		panic(fmt.Sprintf("rtnode: payload type %T has no wire codec: add a RegisterWireCodec for it in the package that sends it", v))
 	}
-	e.Uvarint(tagGob)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		panic(fmt.Sprintf("rtnode: encode %T: %v", v, err))
-	}
-	e.Bytes(buf.Bytes())
+	e.Uvarint(uint64(c.tag))
+	c.enc(e, v)
 }
 
-// DecodeAny inverts EncodeAny.
+// DecodeAny inverts EncodeAny. An unknown tag (the reserved tag 1
+// included) marks d malformed.
 func DecodeAny(d *Dec) any {
 	tag := d.Uvarint()
-	if d.Bad {
+	if d.Bad || tag == tagNil {
 		return nil
-	}
-	switch tag {
-	case tagNil:
-		return nil
-	case tagGob:
-		blob := d.Bytes()
-		if d.Bad {
-			return nil
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-			panic(fmt.Sprintf("rtnode: decode gob payload: %v", err))
-		}
-		return v
 	}
 	c, ok := codecByTag[uint16(tag)]
 	if !ok {
@@ -321,18 +307,24 @@ func AppendPayload(dst []byte, v any) []byte {
 	return e.B
 }
 
-// UnmarshalPayload decodes a binary-framed payload. It panics on
-// malformed input for the same reason the gob path always has: payloads
-// only arrive from validated cluster peers, so corruption is a bug, not
-// an input.
-func UnmarshalPayload(b []byte) any {
+// DecodePayload decodes a binary-framed payload. ok is false for bytes
+// no registered codec accepts; datagrams come from the network, so the
+// receive path drops and counts such a payload instead of trusting it.
+func DecodePayload(b []byte) (v any, ok bool) {
 	if len(b) == 0 {
-		return nil
+		return nil, true
 	}
 	d := Dec{B: b}
-	v := DecodeAny(&d)
-	if d.Bad {
-		panic(fmt.Sprintf("rtnode: malformed binary payload (%d bytes, offset %d)", len(b), d.Off))
+	v = DecodeAny(&d)
+	return v, !d.Bad
+}
+
+// UnmarshalPayload is DecodePayload for callers that produced the bytes
+// themselves (tests, probes, reply decoding): malformed input panics.
+func UnmarshalPayload(b []byte) any {
+	v, ok := DecodePayload(b)
+	if !ok {
+		panic(fmt.Sprintf("rtnode: malformed binary payload (%d bytes)", len(b)))
 	}
 	return v
 }
@@ -344,8 +336,8 @@ func MarshalPayload(v any) []byte {
 }
 
 // The [][]float64 builtin: the matrix shape every CG program and
-// fork/join result ships. Registered here because three app packages
-// declare it in RegisterWire and a codec must be registered exactly once.
+// fork/join result ships. Registered here because three app packages ship
+// it and a codec must be registered exactly once.
 func init() {
 	RegisterWireCodec([][]float64(nil), tagF64Grid,
 		func(e *Enc, v any) {
@@ -375,7 +367,7 @@ func init() {
 					return [][]float64(nil)
 				}
 				if m == 0 {
-					continue // zero-length rows decode as nil, like gob
+					continue // zero-length rows decode as nil (nil-vs-empty carries no meaning)
 				}
 				row := make([]float64, m)
 				for j := range row {

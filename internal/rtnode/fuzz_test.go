@@ -2,8 +2,9 @@ package rtnode_test
 
 import (
 	"bytes"
-	"encoding/gob"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"filaments/internal/rtnode"
@@ -19,16 +20,14 @@ type fuzzPayload struct {
 	N    int64
 }
 
-// fuzzEscape deliberately has no binary codec: it crosses the binary
-// framing through the tagGob escape hatch, which must keep round-tripping
-// so a codec migration can never strand a payload type.
-type fuzzEscape struct {
+// fuzzUncoded deliberately has no codec: encoding it is a programmer
+// error the codec must report, not paper over.
+type fuzzUncoded struct {
 	Label string
 	Vals  []float64
 }
 
 func init() {
-	rtnode.RegisterWire(fuzzPayload{}, fuzzEscape{})
 	rtnode.RegisterWireCodec(fuzzPayload{}, rtnode.TagTestBase,
 		func(e *rtnode.Enc, v any) {
 			p := v.(fuzzPayload)
@@ -75,17 +74,17 @@ func init() {
 		})
 }
 
-// FuzzWireRoundTrip frames a payload under BOTH codecs the real-time
-// transport supports — the legacy gob framing and the binary codec — and
-// asserts each decodes to the original value, and that the two agree with
-// each other (differential check: a divergence means one codec changed
-// the payload). The seeds cover the edge shapes that have bitten gob
-// users before (zero-length payloads, empty inner rows, negative and
-// extreme scalars) and run on every plain `go test`, so CI exercises the
-// corpus without a fuzzing engine.
+// FuzzWireRoundTrip frames a payload exactly as the transport does and
+// asserts it decodes to the original value; it then feeds the raw fuzz
+// bytes to the decoder as a datagram body, which must never panic and —
+// when some codec accepts them — must decode idempotently (re-encoding
+// the decoded value and decoding again reproduces the same bytes). The
+// seeds cover the edge shapes that bite hand-rolled framing (zero-length
+// payloads, empty inner rows, negative and extreme scalars) and run on
+// every plain `go test`, so CI exercises the corpus without a fuzzing
+// engine.
 //
-// One asymmetry is inherent to gob and deliberately mirrored by the
-// binary codec: neither distinguishes empty slices from nil, so the
+// The codec does not distinguish empty slices from nil, so the
 // comparison normalizes zero-length slices on both sides. Kernel code
 // must therefore never give nil-versus-empty a protocol meaning — a
 // contract this fuzz target pins down.
@@ -108,56 +107,56 @@ func FuzzWireRoundTrip(f *testing.F) {
 			grid[i] = row
 		}
 		in := fuzzPayload{Grid: grid, Raw: raw, Name: name, N: n}
-		want := normalize(in)
 
-		// Leg 1: the legacy gob framing, exactly as CodecGob sends it.
-		var buf bytes.Buffer
-		var framed any = in
-		if err := gob.NewEncoder(&buf).Encode(&framed); err != nil {
-			t.Fatalf("gob encode: %v", err)
+		out, ok := rtnode.DecodePayload(rtnode.AppendPayload(nil, in))
+		got, isPayload := out.(fuzzPayload)
+		if !ok || !isPayload {
+			t.Fatalf("round trip changed type: sent %T, got %T (ok=%v)", in, out, ok)
 		}
-		var out any
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("gob decode: %v", err)
+		if !reflect.DeepEqual(normalize(got), normalize(in)) {
+			t.Fatalf("round trip changed value:\n sent %#v\n got  %#v", in, got)
 		}
-		gobGot, ok := out.(fuzzPayload)
+
+		v, ok := rtnode.DecodePayload(raw)
 		if !ok {
-			t.Fatalf("gob round trip changed type: sent %T, got %T", in, out)
+			return // rejected, as most arbitrary bytes must be
 		}
-		if !reflect.DeepEqual(normalize(gobGot), want) {
-			t.Fatalf("gob round trip changed value:\n sent %#v\n got  %#v", in, gobGot)
-		}
-
-		// Leg 2: the binary codec, exactly as CodecBinary sends it.
-		bout := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-		binGot, ok := bout.(fuzzPayload)
+		canon := rtnode.AppendPayload(nil, v)
+		again, ok := rtnode.DecodePayload(canon)
 		if !ok {
-			t.Fatalf("binary round trip changed type: sent %T, got %T", in, bout)
+			t.Fatalf("re-encoding accepted bytes %x gave undecodable %x", raw, canon)
 		}
-		if !reflect.DeepEqual(normalize(binGot), want) {
-			t.Fatalf("binary round trip changed value:\n sent %#v\n got  %#v", in, binGot)
-		}
-
-		// Differential: both codecs must deliver the identical struct.
-		if !reflect.DeepEqual(normalize(binGot), normalize(gobGot)) {
-			t.Fatalf("codecs disagree:\n gob    %#v\n binary %#v", gobGot, binGot)
+		if b := rtnode.AppendPayload(nil, again); !bytes.Equal(b, canon) {
+			t.Fatalf("decode is not idempotent for %x:\n first  %x\n second %x", raw, canon, b)
 		}
 	})
 }
 
-// TestGobEscapeHatch sends a type that has a gob registration but no
-// binary codec through the binary framing: it must travel as a
-// length-prefixed gob blob and come back intact.
-func TestGobEscapeHatch(t *testing.T) {
-	in := fuzzEscape{Label: "unregistered", Vals: []float64{1.5, -2.25, 0}}
-	out := rtnode.UnmarshalPayload(rtnode.MarshalPayload(in))
-	got, ok := out.(fuzzEscape)
-	if !ok {
-		t.Fatalf("escape hatch changed type: sent %T, got %T", in, out)
+// TestUnregisteredPayloadPanics pins what replaced the self-describing
+// fallback: a type with no codec panics at encode, naming the type and
+// the fix; the fallback's tag 1 stays reserved, so a frame carrying it is
+// malformed and no codec can claim it.
+func TestUnregisteredPayloadPanics(t *testing.T) {
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "rtnode_test.fuzzUncoded") || !strings.Contains(msg, "add a RegisterWireCodec") {
+				t.Errorf("encoding an uncoded type panicked with %q; want the type name and the fix", msg)
+			}
+		}()
+		rtnode.AppendPayload(nil, fuzzUncoded{Label: "unregistered", Vals: []float64{1.5}})
+	}()
+
+	if v, ok := rtnode.DecodePayload([]byte{0x01, 0x00}); ok {
+		t.Errorf("a tag-1 frame decoded to %#v; tag 1 is reserved", v)
 	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("escape hatch changed value:\n sent %#v\n got  %#v", in, got)
-	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("RegisterWireCodec accepted the reserved tag 1")
+		}
+	}()
+	rtnode.RegisterWireCodec(fuzzUncoded{}, 1, func(*rtnode.Enc, any) {}, func(*rtnode.Dec) any { return nil })
 }
 
 // TestNilPayloadFraming pins the framing conventions around nil: a nil
@@ -171,8 +170,8 @@ func TestNilPayloadFraming(t *testing.T) {
 	}
 }
 
-// normalize maps zero-length slices to nil at every level, since both
-// codecs erase that distinction.
+// normalize maps zero-length slices to nil at every level, since the
+// codec erases that distinction.
 func normalize(p fuzzPayload) fuzzPayload {
 	if len(p.Raw) == 0 {
 		p.Raw = nil

@@ -1,10 +1,8 @@
 package rtnode
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -14,45 +12,10 @@ import (
 	"filaments/internal/udptrans"
 )
 
-// Codec selects the payload wire encoding. The codec is a cluster-wide
-// setting — every node must run the same one, like the protocol itself.
-type Codec int
-
-const (
-	// CodecBinary is the hand-rolled tagged binary codec (codec.go): zero
-	// codec allocations on the page path, gob escape hatch for unregistered
-	// types. The default.
-	CodecBinary Codec = iota
-	// CodecGob is the previous release's framing, bit for bit: every
-	// payload as one raw gob stream. Kept for one release as the
-	// `-codec=gob` fallback.
-	CodecGob
-)
-
-// ParseCodec maps the CLI flag spelling to a Codec.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	default:
-		return 0, fmt.Errorf("unknown codec %q (supported: binary, gob)", s)
-	}
-}
-
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
-
 // Transport implements kernel.Transport over a udptrans UDP endpoint.
-// Payloads cross the wire binary-encoded by default (codec.go), with the
-// gob framing of the previous release available via SetCodec(CodecGob);
-// the kernel layers register their wire structs (gob and binary) in their
-// init functions.
+// Payloads cross the wire in the binary framing of codec.go; the kernel
+// layers register a codec for each of their wire structs in their init
+// functions.
 //
 // Reliability division of labor: udptrans already provides retransmission
 // with capped backoff, duplicate coalescing, and reply caching — the same
@@ -62,11 +25,10 @@ func (c Codec) String() string {
 // exhaustion (the kernel contract is "retransmitted until answered",
 // matching the simulated Packet's unbounded persistence).
 type Transport struct {
-	node  *Node
-	ep    *udptrans.Endpoint
-	mux   *EventMux
-	lane  uint16
-	codec Codec
+	node *Node
+	ep   *udptrans.Endpoint
+	mux  *EventMux
+	lane uint16
 
 	// lanePrefix is uvarint(lane), prepended to every outgoing event so
 	// the receiving EventMux can route it (mux.go).
@@ -77,6 +39,10 @@ type Transport struct {
 	raw   []func(from kernel.NodeID, payload any) bool
 
 	svcs []uint16 // wire service ids registered on ep, for Detach
+
+	// malformed counts inbound requests and events whose payload no codec
+	// accepted; they are dropped, never trusted (net.malformed).
+	malformed *obs.Counter
 
 	outstanding int // guarded by node.mu
 	inflight    sync.WaitGroup
@@ -106,6 +72,7 @@ func NewTransportOn(mux *EventMux, node *Node, lane uint16) *Transport {
 		lane:       lane,
 		lanePrefix: binary.AppendUvarint(nil, uint64(lane)),
 		ids:        make(map[string]kernel.NodeID),
+		malformed:  node.Obs().Counter("net.malformed"),
 	}
 	mux.attach(lane, tr)
 	return tr
@@ -129,10 +96,6 @@ func (tr *Transport) traceEventDrop() {
 	n := tr.node
 	n.Obs().Trace(int64(n.Now()), "net", "event_dropped")
 }
-
-// SetCodec selects the wire codec. Must be called before traffic flows
-// (like SetPeers), and with the same value on every node in the cluster.
-func (tr *Transport) SetCodec(c Codec) { tr.codec = c }
 
 // SetPeers installs the cluster address table: peers[i] is node i's
 // endpoint address (including this node's own).
@@ -185,32 +148,6 @@ func (tr *Transport) idOf(addr *net.UDPAddr) (kernel.NodeID, bool) {
 	return id, ok
 }
 
-// encodePayload turns a kernel-layer payload into bytes under the legacy
-// gob framing. nil encodes as an empty payload (steal probes and ack-only
-// replies are nil).
-func encodePayload(v any) []byte {
-	if v == nil {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		panic(fmt.Sprintf("rtnode: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// decodePayload inverts encodePayload.
-func decodePayload(b []byte) any {
-	if len(b) == 0 {
-		return nil
-	}
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		panic(fmt.Sprintf("rtnode: decode: %v", err))
-	}
-	return v
-}
-
 // payloadPool recycles encode buffers on the request/event send path. The
 // pool warms up to the largest payload the run ships (a DSM block), after
 // which sends stop allocating.
@@ -221,50 +158,33 @@ var payloadPool = sync.Pool{
 	},
 }
 
-// marshal encodes v under the transport's codec. In binary mode the bytes
-// live in a pooled buffer and the caller must invoke release once the
-// bytes are no longer referenced (the udptrans send paths copy payloads
-// into frames synchronously, so release follows the send call). In gob
-// mode release is nil.
-func (tr *Transport) marshal(v any) (data []byte, release func()) {
-	if tr.codec == CodecGob {
-		return encodePayload(v), nil
-	}
-	if v == nil {
-		return nil, nil
-	}
+// encodePooled frames v behind prefix in a pooled buffer; the caller must
+// invoke release once the bytes are no longer referenced. The udptrans
+// send paths copy payloads into frames synchronously, so release follows
+// the send call.
+func encodePooled(prefix []byte, v any) (data []byte, release func()) {
 	bp := payloadPool.Get().(*[]byte)
-	*bp = AppendPayload((*bp)[:0], v)
+	*bp = AppendPayload(append((*bp)[:0], prefix...), v)
 	return *bp, func() {
 		*bp = (*bp)[:0]
 		payloadPool.Put(bp)
 	}
 }
 
-// marshalOwned encodes v into a buffer the receiver may retain (service
-// replies outlive the handler inside udptrans — they are copied into the
-// reply frame and the reply cache after the handler returns).
-func (tr *Transport) marshalOwned(v any) []byte {
-	if tr.codec == CodecGob {
-		return encodePayload(v)
+// marshal encodes a request payload. nil is an empty payload with
+// nothing to release (release is nil).
+func marshal(v any) (data []byte, release func()) {
+	if v == nil {
+		return nil, nil
 	}
-	return AppendPayload(nil, v)
-}
-
-// unmarshal decodes a payload under the transport's codec. In binary mode
-// the decoded value may alias b — the kernel contract that receivers copy
-// data they retain makes that safe while b's buffer lives.
-func (tr *Transport) unmarshal(b []byte) any {
-	if tr.codec == CodecGob {
-		return decodePayload(b)
-	}
-	return UnmarshalPayload(b)
+	return encodePooled(nil, v)
 }
 
 // Register installs a kernel service on the UDP endpoint. The wrapped
 // handler decodes the payload, enters node context, charges receive and
 // send costs to the ledger, and maps kernel.Drop to a udptrans drop (the
-// requester's retransmission recovers, as in the paper).
+// requester's retransmission recovers, as in the paper). A request whose
+// payload does not decode is dropped the same way and counted.
 func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
 	n := tr.node
 	wid := tr.wireSvc(id)
@@ -279,7 +199,11 @@ func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
 			// The decoded payload may alias req's receive buffer; the
 			// buffer stays alive until this handler returns, and the
 			// handler runs to completion under the node monitor.
-			payload := tr.unmarshal(req)
+			payload, ok := DecodePayload(req)
+			if !ok {
+				tr.malformed.Inc()
+				return nil, true
+			}
 			n.mu.Lock()
 			defer n.mu.Unlock()
 			if n.closed {
@@ -291,7 +215,9 @@ func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
 				return nil, true
 			}
 			n.acct[s.Category] += n.model.SendCost(size)
-			return tr.marshalOwned(reply), false
+			// A fresh buffer: udptrans copies the reply into its frame and
+			// reply cache after this handler has returned.
+			return AppendPayload(nil, reply), false
 		},
 	})
 }
@@ -330,7 +256,7 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
 	tr.outstanding++
-	data, release := tr.marshal(req)
+	data, release := marshal(req)
 	addr := tr.peers[dst]
 	wid := tr.wireSvc(svc)
 	n.mu.Unlock()
@@ -346,7 +272,7 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	n.acct[cat] += n.model.RecvCost(len(reply))
 	// CallContext returned an owned copy of the reply, so the decoded
 	// value (which may alias it) is safe for the calling thread to keep.
-	return tr.unmarshal(reply)
+	return UnmarshalPayload(reply)
 }
 
 // handle tracks one asynchronous request. Its fields are guarded by the
@@ -384,7 +310,7 @@ func (tr *Transport) RequestAsync(dst kernel.NodeID, svc kernel.ServiceID, req a
 	h := &handle{cb: cb, cancel: cancel}
 	n.acct[cat] += n.model.SendCost(size)
 	tr.outstanding++
-	data, relReq := tr.marshal(req)
+	data, relReq := marshal(req)
 	addr := tr.peers[dst]
 	wid := tr.wireSvc(svc)
 	tr.inflight.Add(1)
@@ -415,7 +341,7 @@ func (tr *Transport) RequestAsync(dst kernel.NodeID, svc kernel.ServiceID, req a
 			return // endpoint closed mid-run
 		}
 		n.acct[cat] += n.model.RecvCost(len(reply))
-		cb(tr.unmarshal(reply))
+		cb(UnmarshalPayload(reply))
 	}()
 	return h
 }
@@ -426,33 +352,17 @@ func (tr *Transport) RequestSized(dst kernel.NodeID, svc kernel.ServiceID, req a
 	return tr.RequestAsync(dst, svc, req, size, cat, cb)
 }
 
-// marshalEvent encodes an event payload behind the lane prefix, so the
-// receiving mux can route it. Unlike marshal, a nil payload still yields
-// bytes (the bare prefix — the remainder decodes back to nil). Release
-// semantics match marshal: nil in gob mode, pooled buffer otherwise.
-func (tr *Transport) marshalEvent(v any) (data []byte, release func()) {
-	if tr.codec == CodecGob {
-		body := encodePayload(v)
-		buf := make([]byte, 0, len(tr.lanePrefix)+len(body))
-		return append(append(buf, tr.lanePrefix...), body...), nil
-	}
-	bp := payloadPool.Get().(*[]byte)
-	*bp = AppendPayload(append((*bp)[:0], tr.lanePrefix...), v)
-	return *bp, func() {
-		*bp = (*bp)[:0]
-		payloadPool.Put(bp)
-	}
-}
-
 // Send transmits an unreliable one-way datagram; Broadcast fans out to
 // every peer but this node. Loss is tolerated by the protocols above
 // (e.g. a lost barrier release is recovered by arrive retransmission).
 func (tr *Transport) Send(dst kernel.NodeID, payload any, size int, cat kernel.Category) {
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
-	data, release := tr.marshalEvent(payload)
-	// SendEvent copies the payload into its frame (or batch) before
-	// returning, so the pooled encode buffer can be released right after.
+	// The lane prefix lets the receiving mux route the event; a nil
+	// payload is the bare prefix (the remainder decodes back to nil).
+	data, release := encodePooled(tr.lanePrefix, payload)
+	// SendEvent copies the payload into its frame before returning, so the
+	// pooled encode buffer can be released right after.
 	if dst == kernel.Broadcast {
 		for i, p := range tr.peers {
 			if kernel.NodeID(i) == n.id {
@@ -463,9 +373,7 @@ func (tr *Transport) Send(dst kernel.NodeID, payload any, size int, cat kernel.C
 	} else {
 		tr.ep.SendEvent(tr.peers[dst], data) //nolint:errcheck // unreliable by contract
 	}
-	if release != nil {
-		release()
-	}
+	release()
 }
 
 // HandleRaw appends a one-way datagram handler. Registration happens
@@ -475,7 +383,8 @@ func (tr *Transport) HandleRaw(h func(from kernel.NodeID, payload any) bool) {
 }
 
 // handleEvent delivers a one-way datagram through the raw handler chain in
-// node context. It runs on the endpoint's worker pool.
+// node context; one whose payload does not decode is discarded and
+// counted. It runs on the endpoint's worker pool.
 func (tr *Transport) handleEvent(from *net.UDPAddr, b []byte) {
 	src, known := tr.idOf(from)
 	if !known {
@@ -484,7 +393,11 @@ func (tr *Transport) handleEvent(from *net.UDPAddr, b []byte) {
 	// The decoded payload may alias b's pooled receive buffer, which the
 	// endpoint keeps alive until this handler returns; the raw chain runs
 	// to completion inside it.
-	payload := tr.unmarshal(b)
+	payload, ok := DecodePayload(b)
+	if !ok {
+		tr.malformed.Inc()
+		return
+	}
 	n := tr.node
 	n.mu.Lock()
 	defer n.mu.Unlock()

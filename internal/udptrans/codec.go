@@ -16,10 +16,9 @@ const (
 	// (the barrier release broadcast does, via arrive retransmission). The
 	// svc and seq header fields are zero.
 	kindEvent = 0x03
-	// kindBatch coalesces several events to the same peer into one
-	// datagram: the payload is a sequence of uvarint-length-prefixed event
-	// payloads. Same reliability contract as kindEvent.
-	kindBatch = 0x04
+	// 0x04 is retired and must not be reassigned: earlier releases framed
+	// several coalesced events under it, so a datagram carrying it is
+	// dropped as an unknown kind rather than misparsed.
 	headerLen = 7
 )
 
@@ -81,34 +80,10 @@ func decode(b []byte) (h header, payload []byte, ok bool) {
 		return header{}, nil, false
 	}
 	h.kind = b[0]
-	if h.kind != kindRequest && h.kind != kindReply && h.kind != kindEvent && h.kind != kindBatch {
+	if h.kind != kindRequest && h.kind != kindReply && h.kind != kindEvent {
 		return header{}, nil, false
 	}
 	h.svc = binary.BigEndian.Uint16(b[1:])
 	h.seq = binary.BigEndian.Uint32(b[3:])
 	return h, b[headerLen:], true
-}
-
-// appendBatchEntry appends one uvarint-length-prefixed event payload to a
-// batch body.
-//
-//dflint:hotpath
-func appendBatchEntry(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
-}
-
-// nextBatchEntry splits the first entry off a batch body. ok is false at
-// the end of the batch or on a malformed entry.
-//
-//dflint:hotpath
-func nextBatchEntry(b []byte) (entry, rest []byte, ok bool) {
-	if len(b) == 0 {
-		return nil, nil, false
-	}
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > uint64(len(b)-w) {
-		return nil, nil, false
-	}
-	return b[w : w+int(n)], b[w+int(n):], true
 }

@@ -71,26 +71,11 @@ type UDPConfig struct {
 	// window: 0 keeps the model's default, a negative value disables the
 	// window, and a positive value replaces it.
 	MirageWindow Duration
-	// Tuning collects the wall-clock wire-path knobs.
-	Tuning UDPTuning
-}
-
-// UDPTuning tunes the real-time wire path. Every knob is cluster-wide:
-// all nodes must run the same values, like the protocol choice.
-type UDPTuning struct {
-	// Codec selects the payload encoding: "" or "binary" for the
-	// hand-rolled zero-allocation codec, "gob" for the previous release's
-	// framing (kept for one release as a fallback).
-	Codec string
 	// NoDiffs disables twin-and-diff page shipping, which is on by
 	// default under UDP (the simulation keeps whole pages either way, so
-	// its byte accounting matches the paper's tables).
+	// its byte accounting matches the paper's tables). Cluster-wide, like
+	// the protocol choice.
 	NoDiffs bool
-	// BatchWindow coalesces small one-way events per peer into single
-	// datagrams, holding each back at most this long. Zero disables
-	// batching (the default: a delayed barrier release costs more than a
-	// datagram header saves unless events are bursty).
-	BatchWindow time.Duration
 }
 
 // UDPRunConfig describes one program run on a live UDPCluster. Zero
@@ -151,7 +136,6 @@ type UDPReport struct {
 // exits).
 type UDPCluster struct {
 	cfg   UDPConfig
-	codec rtnode.Codec
 	eps   []*udptrans.Endpoint
 	addrs []*net.UDPAddr
 	muxes []*rtnode.EventMux
@@ -170,16 +154,14 @@ type UDPCluster struct {
 	ran     bool
 }
 
-// rtOptions configures the real-time binding's endpoints with an
-// effectively unbounded retry budget: one logical request keeps one
-// sequence number until it is answered, so the receiver's reply cache
-// absorbs duplicates and non-idempotent handlers execute exactly once.
+// rtOptions gives the real-time binding's endpoints an effectively
+// unbounded retry budget: one logical request keeps one sequence number
+// until it is answered, so the receiver's reply cache absorbs duplicates
+// and non-idempotent handlers execute exactly once.
 // Re-issuing a timed-out call under a fresh sequence number would
 // re-execute the handler — a steal grant whose reply was lost would lose
 // the stolen filament with it.
-func rtOptions(t UDPTuning) udptrans.Options {
-	return udptrans.Options{MaxRetries: 1 << 30, BatchWindow: t.BatchWindow}
-}
+var rtOptions = udptrans.Options{MaxRetries: 1 << 30}
 
 // NewUDPCluster builds a cluster from cfg, opening one UDP endpoint per
 // node on 127.0.0.1 and seeding the default run from cfg's per-run
@@ -188,16 +170,12 @@ func NewUDPCluster(cfg UDPConfig) (*UDPCluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("filaments: UDPConfig.Nodes must be >= 1")
 	}
-	codec, err := rtnode.ParseCodec(cfg.Tuning.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("filaments: %w", err)
-	}
-	c := &UDPCluster{cfg: cfg, codec: codec}
+	c := &UDPCluster{cfg: cfg}
 	c.eps = make([]*udptrans.Endpoint, cfg.Nodes)
 	c.addrs = make([]*net.UDPAddr, cfg.Nodes)
 	c.muxes = make([]*rtnode.EventMux, cfg.Nodes)
 	for i := range c.eps {
-		ep, err := udptrans.Listen("127.0.0.1:0", rtOptions(cfg.Tuning))
+		ep, err := udptrans.Listen("127.0.0.1:0", rtOptions)
 		if err != nil {
 			for _, open := range c.eps[:i] {
 				open.Close() //nolint:errcheck // best-effort unwind
@@ -330,10 +308,9 @@ func (c *UDPCluster) StartRun(rc UDPRunConfig) (*UDPRun, error) {
 			node.Obs().SetTracer(rc.Tracer)
 		}
 		tr := rtnode.NewTransportOn(c.muxes[i], node, lane)
-		tr.SetCodec(c.codec)
 		tr.SetPeers(c.addrs)
 		d := dsm.New(node, tr, r.space, rc.Protocol)
-		d.SetDiffs(!c.cfg.Tuning.NoDiffs)
+		d.SetDiffs(!c.cfg.NoDiffs)
 		d.WakeFront = rc.WakeFront
 		red := reduce.New(node, tr, d, c.cfg.Nodes)
 		rt := filament.New(node, tr, d, red, c.cfg.Nodes)
@@ -676,9 +653,9 @@ type UDPNodeConfig struct {
 	KeepOpen bool
 	// Model overrides the ledger cost model; nil uses cost.Default.
 	Model *CostModel
-	// Tuning collects the wall-clock wire-path knobs; identical values on
-	// every process of the cluster.
-	Tuning UDPTuning
+	// NoDiffs disables twin-and-diff page shipping (see UDPConfig.NoDiffs);
+	// identical on every process of the cluster.
+	NoDiffs bool
 }
 
 // UDPNode is one process's node in a multi-process cluster.
@@ -727,21 +704,16 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 		}
 		addrs[i] = a
 	}
-	codec, err := rtnode.ParseCodec(cfg.Tuning.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("filaments: %w", err)
-	}
-	ep, err := udptrans.Listen(cfg.Peers[cfg.ID], rtOptions(cfg.Tuning))
+	ep, err := udptrans.Listen(cfg.Peers[cfg.ID], rtOptions)
 	if err != nil {
 		return nil, err
 	}
 	u.space = dsm.NewSpace(cfg.SharedBytes)
 	u.node = rtnode.NewNode(kernel.NodeID(cfg.ID), &u.model)
 	u.tr = rtnode.NewTransport(u.node, ep)
-	u.tr.SetCodec(codec)
 	u.tr.SetPeers(addrs)
 	u.d = dsm.New(u.node, u.tr, u.space, cfg.Protocol)
-	u.d.SetDiffs(!cfg.Tuning.NoDiffs)
+	u.d.SetDiffs(!cfg.NoDiffs)
 	u.d.WakeFront = cfg.WakeFront
 	u.red = reduce.New(u.node, u.tr, u.d, cfg.Nodes)
 	u.rt = filament.New(u.node, u.tr, u.d, u.red, cfg.Nodes)
