@@ -11,11 +11,10 @@ import (
 	"testing"
 
 	"filaments"
+	"filaments/internal/apps"
 	"filaments/internal/apps/exprtree"
-	"filaments/internal/apps/fft"
 	"filaments/internal/apps/jacobi"
 	"filaments/internal/apps/matmul"
-	"filaments/internal/apps/mergesort"
 	"filaments/internal/apps/quadrature"
 	"filaments/internal/bench"
 )
@@ -49,7 +48,7 @@ func BenchmarkFig4MatmulDF(b *testing.B) {
 	nodesSweep(b, func(b *testing.B, p int) {
 		var rep *filaments.Report
 		for i := 0; i < b.N; i++ {
-			rep, _, _ = matmul.DF(matmul.Config{N: 128, Nodes: p})
+			rep, _, _ = simDF(b, table(b, "matmul"), p, "", nil, apps.Params{N: 128})
 		}
 		report(b, rep)
 	})
@@ -71,7 +70,7 @@ func BenchmarkFig5JacobiDF(b *testing.B) {
 	nodesSweep(b, func(b *testing.B, p int) {
 		var rep *filaments.Report
 		for i := 0; i < b.N; i++ {
-			rep, _, _ = jacobi.DF(jacobi.Config{N: 128, Iters: 60, Nodes: p})
+			rep, _, _ = simDF(b, table(b, "jacobi"), p, "", nil, apps.Params{N: 128, Iters: 60})
 		}
 		report(b, rep)
 	})
@@ -93,7 +92,7 @@ func BenchmarkFig6QuadratureDF(b *testing.B) {
 	nodesSweep(b, func(b *testing.B, p int) {
 		var rep *filaments.Report
 		for i := 0; i < b.N; i++ {
-			rep, _, _ = quadrature.DF(quadrature.Config{Tol: 1e-4, Nodes: p})
+			rep, _, _ = simDF(b, table(b, "quadrature"), p, "", nil, apps.Params{Tol: 1e-4})
 		}
 		report(b, rep)
 	})
@@ -128,7 +127,7 @@ func BenchmarkFig7ExprTreeDF(b *testing.B) {
 	nodesSweep(b, func(b *testing.B, p int) {
 		var rep *filaments.Report
 		for i := 0; i < b.N; i++ {
-			rep, _, _ = exprtree.DF(exprtree.Config{Height: 5, N: 24, Nodes: p})
+			rep, _, _ = simDF(b, table(b, "exprtree"), p, "", nil, apps.Params{Height: 5, N: 24})
 		}
 		report(b, rep)
 	})
@@ -309,7 +308,7 @@ func BenchmarkExecWriteF64Hit(b *testing.B) {
 func BenchmarkFig10JacobiBreakdown(b *testing.B) {
 	var rep *filaments.Report
 	for i := 0; i < b.N; i++ {
-		rep, _, _ = jacobi.DF(jacobi.Config{N: 128, Iters: 60, Nodes: 8})
+		rep, _, _ = simDF(b, table(b, "jacobi"), 8, "", nil, apps.Params{N: 128, Iters: 60})
 	}
 	report(b, rep)
 }
@@ -317,9 +316,7 @@ func BenchmarkFig10JacobiBreakdown(b *testing.B) {
 func BenchmarkFig11JacobiWriteInvalidate(b *testing.B) {
 	var rep *filaments.Report
 	for i := 0; i < b.N; i++ {
-		rep, _, _ = jacobi.DF(jacobi.Config{
-			N: 128, Iters: 60, Nodes: 4, Protocol: filaments.WriteInvalidate,
-		})
+		rep, _, _ = simDF(b, table(b, "jacobi"), 4, "wi", nil, apps.Params{N: 128, Iters: 60})
 	}
 	report(b, rep)
 }
@@ -327,7 +324,12 @@ func BenchmarkFig11JacobiWriteInvalidate(b *testing.B) {
 func BenchmarkFig12JacobiSinglePool(b *testing.B) {
 	var rep *filaments.Report
 	for i := 0; i < b.N; i++ {
-		rep, _, _ = jacobi.DF(jacobi.Config{N: 128, Iters: 60, Nodes: 4, SinglePool: true})
+		cl := filaments.New(filaments.Config{Nodes: 4, Protocol: filaments.ImplicitInvalidate})
+		prog, _ := jacobi.Setup(cl, jacobi.Config{N: 128, Iters: 60, SinglePool: true})
+		var err error
+		if rep, err = cl.Run(prog); err != nil {
+			b.Fatal(err)
+		}
 	}
 	report(b, rep)
 }
@@ -351,7 +353,7 @@ func BenchmarkExtMergesortDF(b *testing.B) {
 	nodesSweep(b, func(b *testing.B, p int) {
 		var rep *filaments.Report
 		for i := 0; i < b.N; i++ {
-			rep, _, _ = mergesort.DF(mergesort.Config{N: 1 << 13, Leaf: 512, Nodes: p})
+			rep, _, _ = simDF(b, table(b, "mergesort"), p, "", nil, apps.Params{N: 1 << 13, Leaf: 512})
 		}
 		report(b, rep)
 	})
@@ -361,7 +363,7 @@ func BenchmarkExtFFTDF(b *testing.B) {
 	nodesSweep(b, func(b *testing.B, p int) {
 		var rep *filaments.Report
 		for i := 0; i < b.N; i++ {
-			rep, _, _, _ = fft.DF(fft.Config{N: 1 << 12, Leaf: 256, Nodes: p})
+			rep, _, _ = simDF(b, table(b, "fft"), p, "", nil, apps.Params{N: 1 << 12, Leaf: 256})
 		}
 		report(b, rep)
 	})

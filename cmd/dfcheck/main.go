@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	dfcheck [-app all|jacobi|matmul|fft|mergesort|exprtree|quadrature|racer|racer-overlap]
+//	dfcheck [-app all|<any internal/apps table name>|racer|racer-overlap]
 //	        [-protocol all|migratory|write-invalidate|implicit-invalidate|lazy-release]
 //	        [-mirage both|on|off] [-nodes n] [-selftest] [-v]
 //
@@ -31,12 +31,14 @@ import (
 	"os"
 
 	"filaments"
+	"filaments/internal/apps"
 	"filaments/internal/check"
+	"filaments/internal/dsm"
 )
 
 func main() {
-	appFlag := flag.String("app", "all", "application to check: all, jacobi, matmul, fft, mergesort, exprtree, quadrature, racer, or racer-overlap")
-	protoFlag := flag.String("protocol", "all", "page consistency protocol: all, migratory, write-invalidate, implicit-invalidate, or lazy-release")
+	appFlag := flag.String("app", "all", "application to check: all | "+apps.Names()+" | racer | racer-overlap")
+	protoFlag := flag.String("protocol", "all", "page consistency protocol: all | migratory | wi, write-invalidate | ii, implicit-invalidate | lrc, lazy-release")
 	mirageFlag := flag.String("mirage", "both", "Mirage anti-thrashing window: both, on, or off")
 	nodes := flag.Int("nodes", 4, "cluster size for the parallel run")
 	selftest := flag.Bool("selftest", false, "run the seeded-race program and require the checker to catch it")
@@ -51,21 +53,19 @@ func main() {
 		os.Exit(runSelftest(*nodes))
 	}
 
-	var apps []check.App
-	if *appFlag == "all" {
-		apps = check.Apps()
-	} else {
-		a, ok := check.AppByName(*appFlag)
+	list := apps.All()
+	if *appFlag != "all" {
+		a, ok := apps.ByName(*appFlag)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "dfcheck: unknown app %q\n", *appFlag)
 			os.Exit(2)
 		}
-		apps = []check.App{a}
+		list = []*apps.App{a}
 	}
 
-	protos, ok := parseProtocols(*protoFlag)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dfcheck: unknown protocol %q\n", *protoFlag)
+	protos, err := parseProtocols(*protoFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dfcheck: %v\n", err)
 		os.Exit(2)
 	}
 	var mirages []bool
@@ -83,7 +83,7 @@ func main() {
 
 	failures := 0
 	checked := 0
-	for _, app := range apps {
+	for _, app := range list {
 		for _, proto := range protos {
 			for _, mirage := range mirages {
 				if !mirage && app.MirageOffSafe != nil && !app.MirageOffSafe(proto, *nodes) {
@@ -112,23 +112,17 @@ func main() {
 	fmt.Printf("dfcheck: %d configurations clean\n", checked)
 }
 
-func parseProtocols(s string) ([]filaments.Protocol, bool) {
-	switch s {
-	case "all":
+// parseProtocols resolves -protocol: "all" sweeps the four, anything
+// else is one protocol by name.
+func parseProtocols(s string) ([]filaments.Protocol, error) {
+	if s == "all" {
 		return []filaments.Protocol{
 			filaments.Migratory, filaments.WriteInvalidate, filaments.ImplicitInvalidate,
 			filaments.LazyRelease,
-		}, true
-	case "migratory":
-		return []filaments.Protocol{filaments.Migratory}, true
-	case "write-invalidate":
-		return []filaments.Protocol{filaments.WriteInvalidate}, true
-	case "implicit-invalidate":
-		return []filaments.Protocol{filaments.ImplicitInvalidate}, true
-	case "lazy-release":
-		return []filaments.Protocol{filaments.LazyRelease}, true
+		}, nil
 	}
-	return nil, false
+	p, err := dsm.ParseProtocol(s)
+	return []filaments.Protocol{p}, err
 }
 
 func configName(app string, proto filaments.Protocol, mirage bool, nodes int) string {
@@ -171,7 +165,8 @@ func runSelftest(nodes int) int {
 	if nodes < 2 {
 		nodes = 2
 	}
-	res := check.CheckApp(check.Racer(), nodes, filaments.WriteInvalidate, true)
+	racer, _ := apps.ByName("racer")
+	res := check.CheckApp(racer, nodes, filaments.WriteInvalidate, true)
 	if len(res.Parallel.Races) == 0 {
 		fmt.Println("dfcheck selftest: FAILED — seeded race not detected")
 		return 1
@@ -180,7 +175,8 @@ func runSelftest(nodes int) int {
 	for _, r := range res.Parallel.Races {
 		fmt.Printf("  %s\n", r)
 	}
-	overlap := check.CheckApp(check.RacerOverlap(), nodes, filaments.LazyRelease, true)
+	writers, _ := apps.ByName("racer-overlap")
+	overlap := check.CheckApp(writers, nodes, filaments.LazyRelease, true)
 	if len(overlap.Parallel.Races) == 0 {
 		fmt.Println("dfcheck selftest: FAILED — overlapping writers not detected under lazy-release")
 		return 1

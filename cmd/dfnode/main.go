@@ -2,10 +2,11 @@
 //
 // One-shot (the default): run ONE node of a multi-process DF cluster
 // over real UDP. Start one process per node with the same -nodes,
-// -peers, and problem flags; each binds the peer address at its own -id
-// and they find each other over the wire. The program verifies its own
-// result: every node checks its strip of the final grid against the
-// sequential reference, the mismatch counts are combined by a
+// -peers, -app and problem flags; each binds the peer address at its own
+// -id and they find each other over the wire. -app takes any name in
+// internal/apps' table. The program verifies its own result
+// (apps.App.Checked): every node checks its share of the result against
+// the plain-Go reference, the mismatch counts are combined by a
 // reduction, and every process prints RESULT OK (or RESULT MISMATCH n
 // and a non-zero exit).
 //
@@ -47,7 +48,7 @@ import (
 	"time"
 
 	"filaments"
-	"filaments/internal/apps/jacobi"
+	"filaments/internal/apps"
 	"filaments/internal/cluster/daemon"
 )
 
@@ -65,10 +66,10 @@ func run() int {
 		id    = flag.Int("id", 0, "this node's identity, in [0, nodes)")
 		nodes = flag.Int("nodes", 2, "cluster size")
 		peers = flag.String("peers", "", "comma-separated node addresses, indexed by id (entry id is this node's bind address)")
-		app   = flag.String("app", "jacobi", "application: jacobi")
-		n     = flag.Int("n", 64, "problem dimension")
+		app   = flag.String("app", "jacobi", "application: "+apps.Names())
+		n     = flag.Int("n", 64, "problem dimension; for quadrature, the recursion depth cap")
 		iters = flag.Int("iters", 8, "jacobi iterations")
-		proto = flag.String("protocol", "", "DSM protocol override: migratory | wi | ii")
+		proto = flag.String("protocol", "", "DSM protocol override: migratory | wi, write-invalidate | ii, implicit-invalidate | lrc, lazy-release")
 		jobs  = flag.Int("jobs", 2, "coordinator: max concurrently running jobs")
 		hAddr = flag.String("http", "", "serve HTTP on this address: pprof (/debug/pprof/) and /metrics; with -coordinator, the job API (default 127.0.0.1:8080)")
 		v     = flag.Bool("v", false, "print per-node counters")
@@ -83,19 +84,9 @@ func run() int {
 		return runCoordinator(addr, *nodes, *jobs)
 	}
 
-	protocol := filaments.Migratory
-	switch *proto {
-	case "", "migratory":
-	case "wi":
-		protocol = filaments.WriteInvalidate
-	case "ii":
-		protocol = filaments.ImplicitInvalidate
-	default:
-		return fail("unknown -protocol %q", *proto)
-	}
 	return runNode(nodeFlags{
 		join: *join, id: *id, nodes: *nodes, peers: *peers,
-		app: *app, n: *n, iters: *iters, protocol: protocol,
+		app: *app, n: *n, iters: *iters, protocol: *proto,
 		hAddr: *hAddr, verbose: *v,
 	})
 }
@@ -173,7 +164,7 @@ type nodeFlags struct {
 	id, nodes  int
 	peers, app string
 	n, iters   int
-	protocol   filaments.Protocol
+	protocol   string
 	hAddr      string
 	verbose    bool
 }
@@ -185,15 +176,22 @@ func runNode(f nodeFlags) int {
 	if f.peers == "" || len(addrs) != f.nodes {
 		return fail("-peers must list exactly -nodes addresses (got %d for %d nodes)", len(addrs), f.nodes)
 	}
-	if f.app != "jacobi" {
-		return fail("only -app jacobi runs multi-process; %q is unsupported", f.app)
+	app, ok := apps.ByName(f.app)
+	if !ok || app.Reference == nil {
+		return fail("unknown -app %q (%s)", f.app, apps.Names())
+	}
+	protocol, err := app.ProtocolNamed(f.protocol)
+	if err != nil {
+		return fail("%v", err)
 	}
 
 	u, err := filaments.NewUDPNode(filaments.UDPNodeConfig{
-		ID:       f.id,
-		Nodes:    f.nodes,
-		Peers:    addrs,
-		Protocol: f.protocol,
+		ID:        f.id,
+		Nodes:     f.nodes,
+		Peers:     addrs,
+		Protocol:  protocol,
+		Stealing:  app.Stealing,
+		WakeFront: app.WakeFront,
 		// With -join, the membership Leave must go out over this socket
 		// after the epoch; the deferred Closes below run agent-then-node.
 		KeepOpen: f.join != "",
@@ -261,9 +259,13 @@ func runNode(f nodeFlags) int {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		rep, mismatches, err := jacobi.DFNode(jacobi.Config{
-			N: f.n, Iters: f.iters, Nodes: f.nodes, Protocol: f.protocol,
-		}, u)
+		// Every process sets the identical application up on its own node
+		// (the SPMD convention) and checks its share of the result
+		// in-program: no process holds the whole of it afterwards.
+		params := apps.Params{N: f.n, Iters: f.iters}
+		prog, res := app.Setup(u, params)
+		var mismatches int
+		rep, err := u.Run(app.Checked(prog, res, app.Reference(params), &mismatches))
 		done <- outcome{rep, mismatches, err}
 	}()
 

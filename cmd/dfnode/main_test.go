@@ -54,13 +54,13 @@ func freePorts(t *testing.T, n int) []int {
 	return ports
 }
 
-// TestTwoProcessJacobi runs the DF Jacobi program across two separate OS
-// processes talking over loopback UDP. Each process verifies the final
-// grid against the sequential reference in-program (the mismatch count is
-// reduced across the cluster), so a clean "RESULT OK" from both is an
-// end-to-end check of the real-time binding: sockets, retransmission,
-// page migration, barriers, and reductions between address spaces.
-func TestTwoProcessJacobi(t *testing.T) {
+// twoProcess runs one table application across two separate OS processes
+// talking over loopback UDP. Each process verifies its share of the result
+// against the plain-Go reference in-program (the mismatch count is reduced
+// across the cluster), so a clean "RESULT OK" from both is an end-to-end
+// check of the real-time binding: sockets, retransmission, page migration,
+// barriers, and reductions between address spaces.
+func twoProcess(t *testing.T, problem ...string) {
 	ports := freePorts(t, 2)
 	peers := fmt.Sprintf("127.0.0.1:%d,127.0.0.1:%d", ports[0], ports[1])
 
@@ -69,9 +69,9 @@ func TestTwoProcessJacobi(t *testing.T) {
 	var outs [2]bytes.Buffer
 	var cmds [2]*exec.Cmd
 	for id := range cmds {
-		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestHelperProcess$", "--",
-			"-id", fmt.Sprint(id), "-nodes", "2", "-peers", peers,
-			"-n", "32", "-iters", "4", "-v")
+		args := append([]string{"-test.run=^TestHelperProcess$", "--",
+			"-id", fmt.Sprint(id), "-nodes", "2", "-peers", peers, "-v"}, problem...)
+		cmd := exec.CommandContext(ctx, os.Args[0], args...)
 		cmd.Env = append(os.Environ(), "DFNODE_HELPER_PROCESS=1")
 		cmd.Stdout = &outs[id]
 		cmd.Stderr = &outs[id]
@@ -89,4 +89,15 @@ func TestTwoProcessJacobi(t *testing.T) {
 			t.Errorf("node %d did not report RESULT OK:\n%s", id, outs[id].String())
 		}
 	}
+}
+
+func TestTwoProcessJacobi(t *testing.T) { twoProcess(t, "-n", "32", "-iters", "4") }
+
+// TestTwoProcessTableApps: the in-program check is generic over the app
+// table, so what ran only in one process before runs across two — a
+// striped allocation under a node's monitor (matmul), and fork/join tasks
+// shipped between address spaces over page groups (mergesort).
+func TestTwoProcessTableApps(t *testing.T) {
+	t.Run("matmul", func(t *testing.T) { twoProcess(t, "-app", "matmul", "-n", "32") })
+	t.Run("mergesort", func(t *testing.T) { twoProcess(t, "-app", "mergesort", "-n", "4096") })
 }

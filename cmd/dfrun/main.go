@@ -11,6 +11,10 @@
 //	dfrun -app matmul -variant cg -nodes 4 -n 256
 //	dfrun -app quadrature -variant bag -nodes 8
 //	dfrun -app exprtree -variant df -nodes 8 -protocol migratory
+//	dfrun -app fft -variant df -nodes 4 -transport udp
+//
+// -app takes any name in internal/apps' table; on either transport the
+// application is set up by the same Setup on a different Host.
 package main
 
 import (
@@ -19,12 +23,7 @@ import (
 	"os"
 
 	"filaments"
-	"filaments/internal/apps/exprtree"
-	"filaments/internal/apps/fft"
-	"filaments/internal/apps/jacobi"
-	"filaments/internal/apps/matmul"
-	"filaments/internal/apps/mergesort"
-	"filaments/internal/apps/quadrature"
+	"filaments/internal/apps"
 	"filaments/internal/threads"
 )
 
@@ -42,15 +41,15 @@ func main() {
 
 func realMain() error {
 	var (
-		app     = flag.String("app", "jacobi", "application: matmul | jacobi | quadrature | exprtree | fft | mergesort")
-		variant = flag.String("variant", "df", "variant: seq | cg | df | bag (quadrature only)")
+		name    = flag.String("app", "jacobi", "application: "+apps.Names())
+		variant = flag.String("variant", "df", "variant: df, or a sim-only baseline: seq | cg (not fft, mergesort) | bag (quadrature only)")
 		nodes   = flag.Int("nodes", 8, "cluster size")
-		n       = flag.Int("n", 0, "problem dimension (0 = paper default)")
+		n       = flag.Int("n", 0, "problem dimension; for quadrature, the recursion depth cap (0 = paper default)")
 		iters   = flag.Int("iters", 0, "jacobi iterations (0 = paper default)")
 		height  = flag.Int("height", 0, "exprtree height (0 = paper default)")
 		leaf    = flag.Int("leaf", 0, "fft/mergesort sequential-leaf size (0 = paper default)")
 		tol     = flag.Float64("tol", 0, "quadrature tolerance (0 = paper default)")
-		proto   = flag.String("protocol", "", "DSM protocol override: migratory | wi | ii | lrc")
+		proto   = flag.String("protocol", "", "DSM protocol override: migratory | wi, write-invalidate | ii, implicit-invalidate | lrc, lazy-release")
 		trans   = flag.String("transport", "sim", "binding: sim (virtual time) | udp (real loopback endpoints)")
 		noDiffs = flag.Bool("nodiffs", false, "with -transport=udp: ship whole pages instead of twin-and-diff run-length diffs")
 		trace   = flag.String("trace", "", "write a Chrome trace-event JSON file (DF variants; load in about:tracing or Perfetto)")
@@ -59,112 +58,44 @@ func realMain() error {
 	)
 	flag.Parse()
 
+	app, ok := apps.ByName(*name)
+	if !ok {
+		return fmt.Errorf("unknown -app %q (%s)", *name, apps.Names())
+	}
+	protocol, err := app.ProtocolNamed(*proto)
+	if err != nil {
+		return err
+	}
+	params := apps.Params{N: *n, Iters: *iters, Height: *height, Leaf: *leaf, Tol: *tol}
 	var tracer *filaments.Tracer
 	if *trace != "" {
 		tracer = filaments.NewTracer()
 	}
 
-	protocol := filaments.Migratory // zero value: app defaults apply
-	switch *proto {
-	case "":
-	case "migratory":
-		protocol = filaments.Migratory
-	case "wi":
-		protocol = filaments.WriteInvalidate
-	case "ii":
-		protocol = filaments.ImplicitInvalidate
-	case "lrc", "lazy-release":
-		protocol = filaments.LazyRelease
-	default:
-		return fmt.Errorf("unknown -protocol %q", *proto)
-	}
-
-	switch *trans {
-	case "sim":
-	case "udp":
-		return runUDP(*app, *variant, *nodes, *n, *iters, *tol, protocol, *noDiffs, tracer, *trace, *metrics, *verbose)
-	default:
-		return fmt.Errorf("unknown -transport %q (sim | udp)", *trans)
-	}
-
 	var rep *filaments.Report
-	switch *app {
-	case "matmul":
-		cfg := matmul.Config{N: *n, Nodes: *nodes, Protocol: protocol, Tracer: tracer}
-		switch *variant {
-		case "seq":
-			rep, _ = matmul.Sequential(cfg)
-		case "cg":
-			rep, _ = matmul.CoarseGrain(cfg)
-		case "df":
-			rep, _, _ = matmul.DF(cfg)
-		default:
-			return fmt.Errorf("matmul has variants seq|cg|df")
-		}
-	case "jacobi":
-		cfg := jacobi.Config{N: *n, Iters: *iters, Nodes: *nodes, Protocol: protocol, Tracer: tracer}
-		switch *variant {
-		case "seq":
-			rep, _ = jacobi.Sequential(cfg)
-		case "cg":
-			rep, _ = jacobi.CoarseGrain(cfg)
-		case "df":
-			rep, _, _ = jacobi.DF(cfg)
-		default:
-			return fmt.Errorf("jacobi has variants seq|cg|df")
-		}
-	case "quadrature":
-		cfg := quadrature.Config{Tol: *tol, Nodes: *nodes, Tracer: tracer}
-		switch *variant {
-		case "seq":
-			rep, _ = quadrature.Sequential(cfg)
-		case "cg":
-			rep, _ = quadrature.CoarseGrain(cfg)
-		case "bag":
-			rep, _ = quadrature.BagOfTasks(cfg, 0)
-		case "df":
-			rep, _, _ = quadrature.DF(cfg)
-		default:
-			return fmt.Errorf("quadrature has variants seq|cg|df|bag")
-		}
-	case "exprtree":
-		cfg := exprtree.Config{Height: *height, N: *n, Nodes: *nodes, Tracer: tracer}
-		switch *variant {
-		case "seq":
-			rep, _ = exprtree.Sequential(cfg)
-		case "cg":
-			rep, _ = exprtree.CoarseGrain(cfg)
-		case "df":
-			rep, _, _ = exprtree.DF(cfg)
-		default:
-			return fmt.Errorf("exprtree has variants seq|cg|df")
-		}
-	case "fft":
-		cfg := fft.Config{N: *n, Leaf: *leaf, Nodes: *nodes, Protocol: protocol, Tracer: tracer}
-		switch *variant {
-		case "seq":
-			rep, _, _ = fft.Sequential(cfg)
-		case "df":
-			rep, _, _, _ = fft.DF(cfg)
-		default:
-			return fmt.Errorf("fft has variants seq|df")
-		}
-	case "mergesort":
-		cfg := mergesort.Config{N: *n, Leaf: *leaf, Nodes: *nodes, Protocol: protocol, Tracer: tracer}
-		switch *variant {
-		case "seq":
-			rep, _ = mergesort.Sequential(cfg)
-		case "df":
-			rep, _, _ = mergesort.DF(cfg)
-		default:
-			return fmt.Errorf("mergesort has variants seq|df")
+	switch {
+	case *trans == "udp":
+		return runUDP(app, params, *variant, *nodes, protocol, *noDiffs, tracer, *trace, *metrics, *verbose)
+	case *trans != "sim":
+		return fmt.Errorf("unknown -transport %q (sim | udp)", *trans)
+	case *variant == "df":
+		cl := filaments.New(filaments.Config{
+			Nodes: *nodes, Protocol: protocol, Stealing: app.Stealing, WakeFront: app.WakeFront, Tracer: tracer,
+		})
+		prog, _ := app.Setup(cl, params)
+		if rep, err = cl.Run(prog); err != nil {
+			return err
 		}
 	default:
-		return fmt.Errorf("unknown -app %q", *app)
+		run, ok := app.Baselines[*variant]
+		if !ok {
+			return fmt.Errorf("%s has no variant %q", app.Name, *variant)
+		}
+		rep = run(params, *nodes)
 	}
 
 	fmt.Printf("%s/%s on %d nodes: %.2f simulated seconds\n",
-		*app, *variant, *nodes, rep.Seconds())
+		app.Name, *variant, *nodes, rep.Seconds())
 	fmt.Printf("network: %d frames, %.1f MB, medium busy %.1f s (utilization %.0f%%)\n",
 		rep.Net.FramesSent, float64(rep.Net.BytesSent)/(1<<20), rep.Net.Busy.Seconds(),
 		100*rep.Net.Utilization(rep.Elapsed))
@@ -198,45 +129,31 @@ func realMain() error {
 }
 
 // runUDP executes the DF variant on the real-time binding: one UDP
-// endpoint per node on loopback, wall-clock timing. The DF variants of
-// jacobi, matmul, and quadrature run over udp — the seq/cg variants do
-// not use the cluster, and exprtree, fft and mergesort export only their
-// simulated DF entry point. An error from the run — including the quiescence
-// check (requests still outstanding after the last barrier) — returns
-// through realMain so teardown is never skipped.
-func runUDP(app, variant string, nodes, n, iters int, tol float64, protocol filaments.Protocol, noDiffs bool, tracer *filaments.Tracer, trace string, metrics, verbose bool) error {
+// endpoint per node on loopback, wall-clock timing. Every table
+// application runs here — the same Setup, on a different Host — but only
+// its DF variant: the seq/cg baselines do not use the cluster. An error
+// from the run — including the quiescence check (requests still
+// outstanding after the last barrier) — returns through realMain so
+// teardown is never skipped.
+func runUDP(app *apps.App, params apps.Params, variant string, nodes int, protocol filaments.Protocol, noDiffs bool, tracer *filaments.Tracer, trace string, metrics, verbose bool) error {
 	if variant != "df" {
 		return fmt.Errorf("-transport=udp runs only -variant df (got %q): seq and cg do not use the cluster", variant)
 	}
-	var rep *filaments.UDPReport
-	switch app {
-	case "jacobi":
-		cfg := jacobi.Config{N: n, Iters: iters, Nodes: nodes, Protocol: protocol, Tracer: tracer, NoDiffs: noDiffs}
-		r, _, _, err := jacobi.DFUDP(cfg)
-		if err != nil {
-			return err
-		}
-		rep = r
-	case "matmul":
-		cfg := matmul.Config{N: n, Nodes: nodes, Protocol: protocol, Tracer: tracer, NoDiffs: noDiffs}
-		r, _, _, err := matmul.DFUDP(cfg)
-		if err != nil {
-			return err
-		}
-		rep = r
-	case "quadrature":
-		cfg := quadrature.Config{Tol: tol, Nodes: nodes, Tracer: tracer, NoDiffs: noDiffs}
-		r, _, err := quadrature.DFUDP(cfg, true)
-		if err != nil {
-			return err
-		}
-		rep = r
-	default:
-		return fmt.Errorf("-app %s is not supported over -transport=udp (supported: jacobi, matmul, quadrature)", app)
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
+		Nodes: nodes, Protocol: protocol, Stealing: app.Stealing, WakeFront: app.WakeFront,
+		Tracer: tracer, NoDiffs: noDiffs,
+	})
+	if err != nil {
+		return err
+	}
+	prog, _ := app.Setup(cl, params)
+	rep, err := cl.Run(prog)
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("%s/df on %d nodes over loopback UDP: %.3f wall seconds\n",
-		app, nodes, rep.Elapsed.Seconds())
+		app.Name, nodes, rep.Elapsed.Seconds())
 	var reqs, retrans, faults int64
 	for _, nr := range rep.PerNode {
 		reqs += nr.Transport.RequestsSent

@@ -115,7 +115,8 @@ var (
 	Min = reduce.Min
 )
 
-// Config describes a simulated cluster.
+// Config describes a simulated cluster. Its per-run fields are the ones
+// UDPRunConfig names; New lifts them into one for the shared host.
 type Config struct {
 	// Nodes is the cluster size (>= 1).
 	Nodes int
@@ -188,19 +189,14 @@ type Report struct {
 func (r *Report) Seconds() float64 { return r.Elapsed.Seconds() }
 
 // Cluster is a simulated workstation cluster running Distributed
-// Filaments. Create with New, set up shared data with the Alloc methods,
-// then call Run once.
+// Filaments. Create with New, set up shared data with the Alloc methods
+// (promoted from the embedded host, host.go), then call Run once.
 type Cluster struct {
-	cfg   Config
-	model cost.Model
+	host
 	eng   *sim.Engine
 	nw    *simnet.Network
-	space *dsm.Space
 	nodes []*threads.Node
 	eps   []*packet.Endpoint
-	dsms  []*dsm.DSM
-	reds  []*reduce.Reducer
-	rts   []*filament.Runtime
 	ran   bool
 }
 
@@ -212,62 +208,39 @@ func New(cfg Config) *Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.SharedBytes == 0 {
-		cfg.SharedBytes = 64 << 20
-	}
-	if cfg.MaxWorkers == 0 {
-		cfg.MaxWorkers = 16
-	}
-	c := &Cluster{cfg: cfg}
-	if cfg.Model != nil {
-		c.model = *cfg.Model
-	} else {
-		c.model = cost.Default()
-	}
-	switch {
-	case cfg.MirageWindow > 0:
-		c.model.MirageWindow = cfg.MirageWindow
-	case cfg.MirageWindow < 0:
-		c.model.MirageWindow = 0
-	}
+	c := &Cluster{}
+	c.init(cfg.Nodes, UDPRunConfig{
+		Protocol:     cfg.Protocol,
+		SharedBytes:  cfg.SharedBytes,
+		Stealing:     cfg.Stealing,
+		MaxWorkers:   cfg.MaxWorkers,
+		WakeFront:    cfg.WakeFront,
+		Model:        cfg.Model,
+		Tracer:       cfg.Tracer,
+		Monitor:      cfg.Monitor,
+		MirageWindow: cfg.MirageWindow,
+	})
 	c.eng = sim.New(cfg.Seed)
 	c.nw = simnet.New(c.eng, &c.model, cfg.Nodes)
 	c.nw.LossRate = cfg.LossRate
-	c.space = dsm.NewSpace(cfg.SharedBytes)
-	if cfg.Monitor != nil {
-		c.space.SetMonitor(cfg.Monitor)
-	}
 	for i := 0; i < cfg.Nodes; i++ {
 		node := threads.NewNode(c.nw, simnet.NodeID(i))
-		if cfg.Tracer != nil {
-			node.Obs().SetTracer(cfg.Tracer)
-		}
 		ep := packet.New(node)
-		d := dsm.New(node, ep, c.space, cfg.Protocol)
-		d.WakeFront = cfg.WakeFront
-		red := reduce.New(node, ep, d, cfg.Nodes)
+		_, red := c.addNode(node, ep)
 		if cfg.CentralBarrier {
 			red.Style = reduce.Central
 		}
 		if cfg.DisseminationBarrier {
 			red.Style = reduce.Dissemination
 		}
-		rt := filament.New(node, ep, d, red, cfg.Nodes)
-		rt.Stealing = cfg.Stealing
-		rt.MaxWorkers = cfg.MaxWorkers
 		c.nodes = append(c.nodes, node)
 		c.eps = append(c.eps, ep)
-		c.dsms = append(c.dsms, d)
-		c.reds = append(c.reds, red)
-		c.rts = append(c.rts, rt)
 	}
 	return c
 }
 
-// Nodes returns the cluster size.
-func (c *Cluster) Nodes() int { return c.cfg.Nodes }
-
-// Space returns the shared address space for allocation during setup.
+// Space returns the shared address space (for attaching a monitor in
+// tests).
 func (c *Cluster) Space() *dsm.Space { return c.space }
 
 // Network returns the simulated Ethernet (for fault injection in tests).
@@ -279,93 +252,10 @@ func (c *Cluster) Engine() *sim.Engine { return c.eng }
 // Model returns the cluster's cost model.
 func (c *Cluster) Model() *CostModel { return &c.model }
 
-// Runtime returns node i's runtime (valid after New; useful for
-// inspecting stats after Run).
-func (c *Cluster) Runtime(i int) *Runtime { return c.rts[i] }
-
-// Outstanding sums the requests still awaiting replies across every
-// node's endpoint. After Run returns it must be zero: a nonzero value
-// means a protocol layer leaked an in-flight request past its barrier.
-func (c *Cluster) Outstanding() int {
-	n := 0
-	for _, rt := range c.rts {
-		n += rt.Endpoint().Outstanding()
-	}
-	return n
-}
-
-// DSM returns node i's DSM instance (for inspecting stats).
-func (c *Cluster) DSM(i int) *dsm.DSM { return c.dsms[i] }
-
-// EnableTracing installs t as every node's trace sink. Equivalent to
-// setting Config.Tracer before New.
-func (c *Cluster) EnableTracing(t *Tracer) {
-	for _, n := range c.nodes {
-		n.Obs().SetTracer(t)
-	}
-}
-
 // Metrics aggregates every node's counter registry: values summed by
 // name, sorted by name. Safe to call at any time; counters are
 // race-free.
-func (c *Cluster) Metrics() []Sample {
-	regs := make([]*obs.Registry, len(c.nodes))
-	for i, n := range c.nodes {
-		regs[i] = n.Obs().Reg
-	}
-	return obs.Aggregate(regs...)
-}
-
-// Alloc reserves shared memory owned initially by node 0.
-func (c *Cluster) Alloc(size int64) Addr {
-	return c.space.Alloc(size, dsm.AllocOpts{})
-}
-
-// AllocOwned reserves shared memory owned initially by the given node.
-func (c *Cluster) AllocOwned(size int64, owner int) Addr {
-	return c.space.Alloc(size, dsm.AllocOpts{Owner: simnet.NodeID(owner)})
-}
-
-// AllocMatrix allocates a rows×cols shared matrix owned by node 0.
-func (c *Cluster) AllocMatrix(rows, cols int) Matrix {
-	return dsm.AllocMatrix(c.space, rows, cols, dsm.AllocOpts{})
-}
-
-// AllocMatrixOwned allocates a shared matrix initially owned by one node.
-func (c *Cluster) AllocMatrixOwned(rows, cols, owner int) Matrix {
-	return dsm.AllocMatrix(c.space, rows, cols, dsm.AllocOpts{Owner: simnet.NodeID(owner)})
-}
-
-// AllocMatrixStriped allocates a matrix owned in one horizontal strip per
-// node.
-func (c *Cluster) AllocMatrixStriped(rows, cols int) Matrix {
-	return dsm.AllocMatrixStriped(c.space, rows, cols, c.cfg.Nodes)
-}
-
-// PeekF64 reads a shared float64 from whichever node owns it. It performs
-// no protocol action and is meant for result verification after Run.
-func (c *Cluster) PeekF64(a Addr) float64 {
-	for _, d := range c.dsms {
-		if v, ok := d.Peek(a); ok {
-			return v
-		}
-	}
-	panic(fmt.Sprintf("filaments: no owner holds address %d", a))
-}
-
-// PeekMatrix copies a shared matrix out of the cluster for verification
-// after Run.
-func (c *Cluster) PeekMatrix(m Matrix) [][]float64 {
-	out := make([][]float64, m.Rows)
-	for i := range out {
-		row := make([]float64, m.Cols)
-		for j := range row {
-			row[j] = c.PeekF64(m.Addr(i, j))
-		}
-		out[i] = row
-	}
-	return out
-}
+func (c *Cluster) Metrics() []Sample { return obs.Aggregate(c.registries()...) }
 
 // Program is the SPMD node program: it runs on every node's main server
 // thread.
@@ -378,8 +268,8 @@ func (c *Cluster) Run(program Program) (*Report, error) {
 		return nil, fmt.Errorf("filaments: cluster already ran")
 	}
 	c.ran = true
-	rep := &Report{PerNode: make([]NodeReport, c.cfg.Nodes)}
-	remaining := c.cfg.Nodes
+	rep := &Report{PerNode: make([]NodeReport, c.size)}
+	remaining := c.size
 	for _, n := range c.nodes {
 		n.Start()
 	}

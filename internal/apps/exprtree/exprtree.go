@@ -19,38 +19,23 @@ package exprtree
 import (
 	"filaments"
 	"filaments/internal/cost"
-	"filaments/internal/dsm"
 	"filaments/internal/msg"
 	"filaments/internal/simnet"
 )
 
-// Config parameterizes a run.
+// Config is the problem shape. Cluster-level settings — protocol,
+// stealing, tracing, monitors — belong to the cluster the caller builds.
 type Config struct {
 	// Height is the tree height: 2^Height leaves, 2^Height - 1
 	// multiplications (the paper uses 7).
 	Height int
 	// N is the matrix dimension (the paper uses 70).
 	N int
-	// Nodes is the cluster size.
+	// Nodes is the cluster size of the Sequential and CoarseGrain
+	// baselines; Setup takes it from its host.
 	Nodes int
-	// Stealing enables dynamic load balancing in the DF variant. The
-	// paper argues it does not pay for balanced trees, so the default is
-	// off.
-	Stealing bool
-	// Protocol for the DF variant. The zero value selects the paper's
-	// choice for this program, migratory.
-	Protocol filaments.Protocol
-	// Seed for the simulation.
+	// Seed for the baselines' simulation.
 	Seed int64
-	// Tracer, when non-nil, records kernel trace events from the DF
-	// variant.
-	Tracer *filaments.Tracer
-	// Monitor, when non-nil, observes the DF variant's DSM accesses and
-	// synchronization events (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window in the DF
-	// variant: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
 }
 
 func (c *Config) defaults() {
@@ -201,31 +186,24 @@ func CoarseGrain(cfg Config) (*filaments.Report, [][]float64) {
 
 const fnEval = 1
 
-// DF runs the fork/join Filaments program over the DSM with the migratory
-// protocol. Matrix slots — 2^(h+1)-1 of them, one per tree node — live in
-// shared memory as single page groups; the master initializes the leaves,
-// and each interior filament multiplies its children's slots into its own.
-func DF(cfg Config) (*filaments.Report, [][]float64, *filaments.Cluster) {
+// Setup allocates the matrix slots on h — 2^(h+1)-1 of them, one per tree
+// node, each a single page group — and returns the fork/join Filaments
+// node program with the root's slot, which holds the product afterwards.
+// The master initializes the leaves, and each interior filament
+// multiplies its children's slots into its own. The paper runs it under
+// migratory and argues stealing does not pay for balanced trees; both are
+// the app table's defaults.
+func Setup(host filaments.Host, cfg Config) (filaments.Program, filaments.Matrix) {
 	cfg.defaults()
-	n, h, p := cfg.N, cfg.Height, cfg.Nodes
-	cl := filaments.New(filaments.Config{
-		Nodes:        p,
-		Seed:         cfg.Seed,
-		Protocol:     cfg.Protocol, // zero value is Migratory, the app default
-		Stealing:     cfg.Stealing,
-		WakeFront:    true,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
+	n, h := cfg.N, cfg.Height
 	matBytes := int64(n) * int64(n) * 8
-	pagesPer := int((matBytes + dsm.PageSize - 1) / dsm.PageSize)
+	pagesPer := int((matBytes + filaments.PageSize - 1) / filaments.PageSize)
 	slots := make([]filaments.Matrix, 1<<(h+1))
 	for k := 1; k < 1<<(h+1); k++ {
-		base := cl.Space().Alloc(matBytes, dsm.AllocOpts{Owner: 0, GroupPages: pagesPer})
+		base := host.AllocWith(matBytes, filaments.AllocOpts{Owner: 0, GroupPages: pagesPer})
 		slots[k] = filaments.Matrix{Base: base, Rows: n, Cols: n}
 	}
-	rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+	return func(rt *filaments.Runtime, e *filaments.Exec) {
 		slotRange := func(k int) filaments.Range {
 			return filaments.Range{Lo: slots[k].Addr(0, 0), Hi: slots[k].Addr(n-1, n-1) + 8}
 		}
@@ -281,9 +259,5 @@ func DF(cfg Config) (*filaments.Report, [][]float64, *filaments.Cluster) {
 		// The initial barrier ensures the leaves exist before traversal.
 		e.Barrier()
 		rt.RunForkJoin(e, fnEval, filaments.Args{1, int64(h)})
-	})
-	if err != nil {
-		panic(err)
-	}
-	return rep, cl.PeekMatrix(slots[1]), cl
+	}, slots[1]
 }

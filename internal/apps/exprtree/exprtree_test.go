@@ -3,7 +3,23 @@ package exprtree
 import (
 	"fmt"
 	"testing"
+
+	"filaments"
 )
+
+// runDF runs Setup's program in the simulation on cfg.Nodes nodes under the
+// paper's settings for it — migratory, front-of-queue wakeups — with
+// stealing as given, and returns the report, the product and the cluster.
+func runDF(t *testing.T, cfg Config, stealing bool) (*filaments.Report, [][]float64, *filaments.Cluster) {
+	t.Helper()
+	cl := filaments.New(filaments.Config{Nodes: cfg.Nodes, Stealing: stealing, WakeFront: true})
+	prog, root := Setup(cl, cfg)
+	rep, err := cl.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, cl.PeekMatrix(root), cl
+}
 
 func matEqual(a, b [][]float64) error {
 	if len(a) != len(b) {
@@ -44,17 +60,17 @@ func TestDFCorrect(t *testing.T) {
 	want := Reference(cfg)
 	for _, p := range []int{1, 2, 4} {
 		cfg.Nodes = p
-		_, got, _ := DF(cfg)
+		_, got, _ := runDF(t, cfg, false)
 		if err := matEqual(got, want); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
 }
 
-func TestDFWithStealingCorrect(t *testing.T) {
-	cfg := Config{Height: 5, N: 12, Nodes: 4, Stealing: true}
+func TestDFStealingCorrect(t *testing.T) {
+	cfg := Config{Height: 5, N: 12, Nodes: 4}
 	want := Reference(cfg)
-	_, got, _ := DF(cfg)
+	_, got, _ := runDF(t, cfg, true)
 	if err := matEqual(got, want); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +90,7 @@ func TestDFSendsMoreMessagesThanCG(t *testing.T) {
 func newCountingRun(t *testing.T, cfg Config, df bool) int64 {
 	t.Helper()
 	if df {
-		_, _, cl := DF(cfg)
+		_, _, cl := runDF(t, cfg, false)
 		return cl.Network().Stats().FramesSent
 	}
 	// CoarseGrain does not return its cluster; measure via a fresh run
@@ -92,7 +108,7 @@ func TestTailEndCap(t *testing.T) {
 	cfg := Config{Height: 5, N: 24}
 	seq, _ := Sequential(cfg)
 	cfg.Nodes = 4
-	df, _, _ := DF(cfg)
+	df, _, _ := runDF(t, cfg, false)
 	speedup := seq.Seconds() / df.Seconds()
 	// Height 5: 31 multiplies; cap on 4 nodes = 31 / (1+1+1+2+4) = 3.44.
 	if speedup > 3.45 {

@@ -18,34 +18,19 @@ import (
 	"filaments/internal/simnet"
 )
 
-// Config parameterizes a run.
+// Config is the problem shape. Cluster-level settings — protocol,
+// tracing, monitors — belong to the cluster the caller builds.
 type Config struct {
 	// N is the transform size, a power of two (default 1 << 14).
 	N int
 	// Leaf is the size below which a filament transforms sequentially
-	// (default 1024).
+	// (default 1024, or N where N is smaller).
 	Leaf int
-	// Nodes is the cluster size.
+	// Nodes is the cluster size of the Sequential baseline; Setup takes it
+	// from its host.
 	Nodes int
-	// Protocol for the DF variant; the zero value means the app default,
-	// write-invalidate (the bit-reversal phase reads scattered locations
-	// across the whole array, and read-only copies must not tear
-	// ownership away from the transform's writers).
-	Protocol filaments.Protocol
-	// UseMigratory forces the migratory protocol (the Protocol field's
-	// zero value means "app default", i.e. write-invalidate).
-	UseMigratory bool
-	// Seed for the simulation and input signal.
+	// Seed for the input signal and the baseline's simulation.
 	Seed int64
-	// Tracer, when non-nil, records kernel trace events from the DF
-	// variant.
-	Tracer *filaments.Tracer
-	// Monitor, when non-nil, observes the DF variant's DSM accesses and
-	// synchronization events (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window in the DF
-	// variant: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
 }
 
 func (c *Config) defaults() {
@@ -53,19 +38,13 @@ func (c *Config) defaults() {
 		c.N = 1 << 14
 	}
 	if c.Leaf == 0 {
-		c.Leaf = 1024
+		c.Leaf = min(1024, c.N)
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Protocol == filaments.Migratory {
-		c.Protocol = filaments.WriteInvalidate
-	}
-	if c.UseMigratory {
-		c.Protocol = filaments.Migratory
 	}
 	if c.N&(c.N-1) != 0 || c.Leaf&(c.Leaf-1) != 0 || c.Leaf > c.N {
 		panic("fft: N and Leaf must be powers of two with Leaf <= N")
@@ -182,34 +161,31 @@ func Sequential(cfg Config) (*filaments.Report, []float64, []float64) {
 
 const fnFFT = 1
 
-// DF runs the fork/join + RTC Filaments program over the DSM.
-func DF(cfg Config) (*filaments.Report, []float64, []float64, *filaments.Cluster) {
+// Setup allocates the transform and scratch arrays on h and returns the
+// fork/join + RTC Filaments node program with the two 1×N rows — real
+// then imaginary — that hold the spectrum afterwards, bitwise-identical
+// to Reference's. The app table's default protocol is write-invalidate:
+// the bit-reversal phase reads scattered locations across the whole
+// array, and read-only copies must not tear ownership away from the
+// transform's writers.
+func Setup(h filaments.Host, cfg Config) (filaments.Program, [2]filaments.Matrix) {
 	cfg.defaults()
 	n := cfg.N
-	cl := filaments.New(filaments.Config{
-		Nodes:        cfg.Nodes,
-		Seed:         cfg.Seed,
-		Protocol:     cfg.Protocol,
-		WakeFront:    true,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
-	groupPages := (cfg.Leaf*8 + dsm.PageSize - 1) / dsm.PageSize
-	reB := cl.Space().Alloc(int64(n)*8, dsm.AllocOpts{Owner: 0, GroupPages: groupPages})
-	imB := cl.Space().Alloc(int64(n)*8, dsm.AllocOpts{Owner: 0, GroupPages: groupPages})
+	groupPages := (cfg.Leaf*8 + filaments.PageSize - 1) / filaments.PageSize
+	reB := h.AllocWith(int64(n)*8, filaments.AllocOpts{Owner: 0, GroupPages: groupPages})
+	imB := h.AllocWith(int64(n)*8, filaments.AllocOpts{Owner: 0, GroupPages: groupPages})
 	// Bit-reversal scratch (the permutation is not in-place across
 	// nodes), owned in strips by the nodes that will write it.
 	stripOwner := func(page int) simnet.NodeID {
-		i := page * dsm.PageSize / 8 // first element on the page
-		return simnet.NodeID(dsm.StripOf(i, n, cfg.Nodes))
+		i := page * filaments.PageSize / 8 // first element on the page
+		return simnet.NodeID(dsm.StripOf(i, n, h.Nodes()))
 	}
-	reS := cl.Space().Alloc(int64(n)*8, dsm.AllocOpts{OwnerByPage: stripOwner, GroupPages: groupPages})
-	imS := cl.Space().Alloc(int64(n)*8, dsm.AllocOpts{OwnerByPage: stripOwner, GroupPages: groupPages})
+	reS := h.AllocWith(int64(n)*8, filaments.AllocOpts{OwnerByPage: stripOwner, GroupPages: groupPages})
+	imS := h.AllocWith(int64(n)*8, filaments.AllocOpts{OwnerByPage: stripOwner, GroupPages: groupPages})
 	reAt := func(i int) filaments.Addr { return reB + filaments.Addr(i*8) }
 	imAt := func(i int) filaments.Addr { return imB + filaments.Addr(i*8) }
 
-	rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+	return func(rt *filaments.Runtime, e *filaments.Exec) {
 		if rt.ID() == 0 {
 			re, im := input(n, cfg.Seed)
 			for i := 0; i < n; i++ {
@@ -283,15 +259,5 @@ func DF(cfg Config) (*filaments.Report, []float64, []float64, *filaments.Cluster
 		}
 		rt.RunPools(e)
 		e.Barrier()
-	})
-	if err != nil {
-		panic(err)
-	}
-	or := make([]float64, n)
-	oi := make([]float64, n)
-	for i := 0; i < n; i++ {
-		or[i] = cl.PeekF64(reS + filaments.Addr(i*8))
-		oi[i] = cl.PeekF64(imS + filaments.Addr(i*8))
-	}
-	return rep, or, oi, cl
+	}, [2]filaments.Matrix{{Base: reS, Rows: 1, Cols: n}, {Base: imS, Rows: 1, Cols: n}}
 }

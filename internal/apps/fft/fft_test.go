@@ -3,7 +3,23 @@ package fft
 import (
 	"math"
 	"testing"
+
+	"filaments"
 )
+
+// runDF runs Setup's program in the simulation on cfg.Nodes nodes under
+// the app table's settings for it — write-invalidate, front-of-queue
+// wakeups — and returns the report and the spectrum.
+func runDF(t *testing.T, cfg Config) (rep *filaments.Report, re, im []float64) {
+	t.Helper()
+	cl := filaments.New(filaments.Config{Nodes: cfg.Nodes, Protocol: filaments.WriteInvalidate, WakeFront: true})
+	prog, reim := Setup(cl, cfg)
+	rep, err := cl.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, cl.PeekMatrix(reim[0])[0], cl.PeekMatrix(reim[1])[0]
+}
 
 func maxDiff(a, b []float64) float64 {
 	var m float64
@@ -45,7 +61,7 @@ func TestDFBitExact(t *testing.T) {
 	wr, wi := Reference(cfg)
 	for _, p := range []int{1, 2, 4} {
 		cfg.Nodes = p
-		_, gr, gi, _ := DF(cfg)
+		_, gr, gi := runDF(t, cfg)
 		if maxDiff(gr, wr) != 0 || maxDiff(gi, wi) != 0 {
 			t.Fatalf("p=%d: DF FFT diverges", p)
 		}
@@ -60,7 +76,7 @@ func TestParsevalInvariant(t *testing.T) {
 	for i := range re {
 		inE += re[i]*re[i] + im[i]*im[i]
 	}
-	_, gr, gi, _ := DF(cfg)
+	_, gr, gi := runDF(t, cfg)
 	var outE float64
 	for i := range gr {
 		outE += gr[i]*gr[i] + gi[i]*gi[i]
@@ -77,7 +93,7 @@ func TestSpeedup(t *testing.T) {
 	cfg := Config{}
 	seq, _, _ := Sequential(cfg)
 	cfg.Nodes = 4
-	df, _, _, _ := DF(cfg)
+	df, _, _ := runDF(t, cfg)
 	if s := seq.Seconds() / df.Seconds(); s < 1.5 {
 		t.Fatalf("speedup on 4 nodes = %.2f", s)
 	}

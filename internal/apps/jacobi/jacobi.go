@@ -8,9 +8,10 @@
 // three pools per node: the strip's top row, its bottom row, and the
 // interior. Only the top and bottom pools fault (on the neighbouring
 // strip's edge page), so running them first frontloads the faults and the
-// interior pool's computation overlaps the fetches completely. The default
-// protocol is implicit-invalidate: the read-only copies of edge pages die
-// at the per-iteration reduction, so no invalidation traffic exists.
+// interior pool's computation overlaps the fetches completely. The paper
+// runs it under implicit-invalidate (the app table's default): the
+// read-only copies of edge pages die at the per-iteration reduction, so no
+// invalidation traffic exists.
 //
 // Both grids are initialized by (and initially owned by) the master; the
 // other nodes acquire their strips by ordinary write faults during the
@@ -25,44 +26,26 @@ import (
 	"filaments/internal/simnet"
 )
 
-// Config parameterizes a run.
+// Config is the problem shape. Cluster-level settings — protocol, loss,
+// tracing, monitors — belong to the cluster the caller builds.
 type Config struct {
 	// N is the grid dimension (the paper uses 256).
 	N int
 	// Iters is the number of iterations (the paper converged after 360
 	// with epsilon 1e-3).
 	Iters int
-	// Nodes is the cluster size.
+	// Nodes is the cluster size of the Sequential and CoarseGrain
+	// baselines; Setup takes it from its host.
 	Nodes int
-	// Protocol for the DF variant; default implicit-invalidate (Figure 5).
-	// Write-invalidate reproduces Figure 11.
-	Protocol filaments.Protocol
 	// SinglePool disables the three-pool structure (and with it the
 	// overlap of communication and computation), reproducing Figure 12.
 	SinglePool bool
-	// UseMigratory forces the migratory protocol (the Protocol field's
-	// zero value means "app default", i.e. implicit-invalidate).
-	UseMigratory bool
 	// AutoPools lets the runtime cluster filaments into pools by fault
 	// signature instead of using the hand-written top/bottom/interior
 	// assignment (the paper's future-work automation).
 	AutoPools bool
-	// LossRate injects network frame loss into the DF variant.
-	LossRate float64
-	// Seed for the simulation.
+	// Seed for the baselines' simulation.
 	Seed int64
-	// Tracer, when non-nil, records kernel trace events from the DF
-	// variants (sim and UDP).
-	Tracer *filaments.Tracer
-	// Monitor, when non-nil, observes the DF variants' DSM accesses and
-	// synchronization events (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window in the DF
-	// variants: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
-	// NoDiffs disables twin-and-diff page shipping in the UDP variants;
-	// ignored by the simulation, which always ships whole pages.
-	NoDiffs bool
 }
 
 func (c *Config) defaults() {
@@ -74,9 +57,6 @@ func (c *Config) defaults() {
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 1
-	}
-	if c.Protocol == filaments.Migratory {
-		c.Protocol = filaments.ImplicitInvalidate
 	}
 }
 
@@ -90,7 +70,9 @@ func boundary(i, j, n int) float64 {
 }
 
 // Reference runs the iteration in plain Go for verification.
-func Reference(n, iters int) [][]float64 {
+func Reference(cfg Config) [][]float64 {
+	cfg.defaults()
+	n, iters := cfg.N, cfg.Iters
 	src, dst := freshGrids(n)
 	for it := 0; it < iters; it++ {
 		for i := 1; i < n-1; i++ {
@@ -241,42 +223,22 @@ func CoarseGrain(cfg Config) (*filaments.Report, [][]float64) {
 	return rep, out
 }
 
-// DF runs the Distributed Filaments program: iterative filaments, one per
-// interior point, three pools per node (or one with cfg.SinglePool).
-func DF(cfg Config) (*filaments.Report, [][]float64, *filaments.Cluster) {
+// Setup allocates both grids on h and returns the Distributed Filaments
+// node program — iterative filaments, one per interior point, three pools
+// per node (or one with cfg.SinglePool) — with the grid that holds the
+// result after the last sweep. Every binding runs exactly this code, and
+// the result is bitwise-identical to Reference's (both evaluate
+// 0.25*(up+down+left+right) over identical inputs in identical order), so
+// callers verify with exact comparison.
+func Setup(h filaments.Host, cfg Config) (filaments.Program, filaments.Matrix) {
 	cfg.defaults()
-	n, iters, p := cfg.N, cfg.Iters, cfg.Nodes
-	proto := cfg.Protocol
-	if cfg.UseMigratory {
-		proto = filaments.Migratory
-	}
-	cl := filaments.New(filaments.Config{
-		Nodes:        p,
-		Seed:         cfg.Seed,
-		Protocol:     proto,
-		LossRate:     cfg.LossRate,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
-	ga := cl.AllocMatrixOwned(n, n, 0)
-	gb := cl.AllocMatrixOwned(n, n, 0)
-	rep, err := cl.Run(dfProgram(cfg, ga, gb))
-	if err != nil {
-		panic(err)
-	}
+	n, iters, p := cfg.N, cfg.Iters, h.Nodes()
+	ga := filaments.AllocMatrix(h, n, n, filaments.AllocOpts{})
+	gb := filaments.AllocMatrix(h, n, n, filaments.AllocOpts{})
 	final := ga
 	if iters%2 == 1 {
 		final = gb
 	}
-	return rep, cl.PeekMatrix(final), cl
-}
-
-// dfProgram is the DF node program shared by every binding: the simulated
-// cluster (DF) and the real-time UDP cluster (DFUDP) run exactly this
-// code. cfg must already be defaulted.
-func dfProgram(cfg Config, ga, gb filaments.Matrix) filaments.Program {
-	n, iters, p := cfg.N, cfg.Iters, cfg.Nodes
 	return func(rt *filaments.Runtime, e *filaments.Exec) {
 		me := rt.ID()
 		d := rt.DSM()
@@ -374,108 +336,7 @@ func dfProgram(cfg Config, ga, gb filaments.Matrix) filaments.Program {
 			e.Reduce(state.maxDiff, filaments.Max)
 			state.src, state.dst = state.dst, state.src
 		}
-	}
-}
-
-// udpHost is the slice of the UDPCluster/UDPRun surface the program
-// needs; both satisfy it, so the single-program form (DFUDP) and the
-// service form (DFOn, one job on a live daemon cluster) share one body.
-type udpHost interface {
-	AllocMatrixOwned(rows, cols, owner int) filaments.Matrix
-	Run(filaments.Program) (*filaments.UDPReport, error)
-	PeekMatrix(filaments.Matrix) [][]float64
-}
-
-// dfOn allocates the grids on h, runs the DF program, and peeks the
-// final grid. cfg must already be defaulted.
-func dfOn(cfg Config, h udpHost) (*filaments.UDPReport, [][]float64, error) {
-	n := cfg.N
-	ga := h.AllocMatrixOwned(n, n, 0)
-	gb := h.AllocMatrixOwned(n, n, 0)
-	rep, err := h.Run(dfProgram(cfg, ga, gb))
-	if err != nil {
-		return rep, nil, err
-	}
-	final := ga
-	if cfg.Iters%2 == 1 {
-		final = gb
-	}
-	return rep, h.PeekMatrix(final), nil
-}
-
-// DFUDP runs the same DF program on a single-process real-time cluster:
-// every node is a set of goroutines with its own UDP endpoint on
-// loopback. The returned grid is bitwise-identical to Reference's (both
-// evaluate 0.25*(up+down+left+right) over identical inputs in identical
-// order), so callers verify with exact comparison.
-func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPCluster, error) {
-	cfg.defaults()
-	proto := cfg.Protocol
-	if cfg.UseMigratory {
-		proto = filaments.Migratory
-	}
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-		Nodes:        cfg.Nodes,
-		Protocol:     proto,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-		NoDiffs:      cfg.NoDiffs,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep, grid, err := dfOn(cfg, cl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rep, grid, cl, nil
-}
-
-// DFOn runs the DF program as one job on a live service cluster's run
-// (internal/cluster/daemon submits jobs here). Cluster-wide settings —
-// protocol, tracing, codec — were fixed when the run was started; cfg
-// supplies the problem shape. The grid is bitwise-identical to
-// Reference's, exactly as under DFUDP.
-func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, [][]float64, error) {
-	cfg.Nodes = run.Nodes()
-	cfg.defaults()
-	return dfOn(cfg, run)
-}
-
-// DFNode runs the same DF program as one node of a multi-process cluster
-// (cmd/dfnode): every process calls this with its own UDPNode and the
-// identical Config. The result is verified in-program — each node checks
-// its n/p-row strip of the final grid against the sequential reference and
-// the per-node mismatch counts are combined by a Sum reduction (the sum of
-// small integers is exact and order-independent in float64), so every node
-// returns the cluster-wide mismatch total.
-func DFNode(cfg Config, u *filaments.UDPNode) (*filaments.UDPNodeReport, int, error) {
-	cfg.defaults()
-	n, p := cfg.N, cfg.Nodes
-	ga := u.AllocMatrixOwned(n, n, 0)
-	gb := u.AllocMatrixOwned(n, n, 0)
-	prog := dfProgram(cfg, ga, gb)
-	var mismatches float64
-	rep, err := u.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
-		prog(rt, e)
-		final := ga
-		if cfg.Iters%2 == 1 {
-			final = gb
-		}
-		want := Reference(n, cfg.Iters)
-		me := rt.ID()
-		var bad float64
-		for i := me * n / p; i < (me+1)*n/p; i++ {
-			for j := 0; j < n; j++ {
-				if e.ReadF64(final.Addr(i, j)) != want[i][j] {
-					bad++
-				}
-			}
-		}
-		mismatches = e.Reduce(bad, filaments.Sum)
-	})
-	return rep, int(mismatches), err
+	}, final
 }
 
 // dsmPageRows returns how many grid rows share one DSM page.

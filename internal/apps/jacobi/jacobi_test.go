@@ -21,15 +21,28 @@ func gridEqual(a, b [][]float64) error {
 	return nil
 }
 
+// runDF runs Setup's program in the simulation on cfg.Nodes nodes under
+// proto and returns the report, the final grid and the cluster.
+func runDF(t *testing.T, cfg Config, proto filaments.Protocol) (*filaments.Report, [][]float64, *filaments.Cluster) {
+	t.Helper()
+	cl := filaments.New(filaments.Config{Nodes: cfg.Nodes, Protocol: proto})
+	prog, final := Setup(cl, cfg)
+	rep, err := cl.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, cl.PeekMatrix(final), cl
+}
+
 func TestSequentialMatchesReference(t *testing.T) {
 	_, got := Sequential(Config{N: 32, Iters: 20})
-	if err := gridEqual(got, Reference(32, 20)); err != nil {
+	if err := gridEqual(got, Reference(Config{N: 32, Iters: 20})); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCoarseGrainCorrect(t *testing.T) {
-	want := Reference(64, 30)
+	want := Reference(Config{N: 64, Iters: 30})
 	for _, p := range []int{2, 4} {
 		_, got := CoarseGrain(Config{N: 64, Iters: 30, Nodes: p})
 		if err := gridEqual(got, want); err != nil {
@@ -39,12 +52,12 @@ func TestCoarseGrainCorrect(t *testing.T) {
 }
 
 func TestDFCorrectAllProtocols(t *testing.T) {
-	want := Reference(64, 20)
+	want := Reference(Config{N: 64, Iters: 20})
 	for _, proto := range []filaments.Protocol{
 		filaments.ImplicitInvalidate, filaments.WriteInvalidate,
 	} {
 		for _, p := range []int{1, 2, 4} {
-			_, got, _ := DF(Config{N: 64, Iters: 20, Nodes: p, Protocol: proto})
+			_, got, _ := runDF(t, Config{N: 64, Iters: 20, Nodes: p}, proto)
 			if err := gridEqual(got, want); err != nil {
 				t.Fatalf("proto=%v p=%d: %v", proto, p, err)
 			}
@@ -55,16 +68,16 @@ func TestDFCorrectAllProtocols(t *testing.T) {
 // Uneven strips put two writers on one page; the protocols must still be
 // correct (just slower).
 func TestDFCorrectOddNodes(t *testing.T) {
-	want := Reference(64, 10)
-	_, got, _ := DF(Config{N: 64, Iters: 10, Nodes: 3, Protocol: filaments.WriteInvalidate})
+	want := Reference(Config{N: 64, Iters: 10})
+	_, got, _ := runDF(t, Config{N: 64, Iters: 10, Nodes: 3}, filaments.WriteInvalidate)
 	if err := gridEqual(got, want); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDFSinglePoolCorrect(t *testing.T) {
-	want := Reference(64, 20)
-	_, got, _ := DF(Config{N: 64, Iters: 20, Nodes: 4, SinglePool: true})
+	want := Reference(Config{N: 64, Iters: 20})
+	_, got, _ := runDF(t, Config{N: 64, Iters: 20, Nodes: 4, SinglePool: true}, filaments.ImplicitInvalidate)
 	if err := gridEqual(got, want); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +87,7 @@ func TestDFSinglePoolCorrect(t *testing.T) {
 // must send them every iteration.
 func TestInvalidationTraffic(t *testing.T) {
 	invals := func(proto filaments.Protocol) int64 {
-		_, _, cl := DF(Config{N: 64, Iters: 10, Nodes: 4, Protocol: proto})
+		_, _, cl := runDF(t, Config{N: 64, Iters: 10, Nodes: 4}, proto)
 		var n int64
 		for i := 0; i < 4; i++ {
 			n += cl.Runtime(i).DSM().Stats().InvalsSent
@@ -94,7 +107,7 @@ func TestInvalidationTraffic(t *testing.T) {
 // and interior nodes twice.
 func TestSteadyStateFaultStructure(t *testing.T) {
 	const n, p, iters = 256, 4, 40
-	_, _, cl := DF(Config{N: n, Iters: iters, Nodes: p})
+	_, _, cl := runDF(t, Config{N: n, Iters: iters, Nodes: p}, filaments.ImplicitInvalidate)
 	for k := 0; k < p; k++ {
 		rf := cl.Runtime(k).DSM().Stats().ReadFaults
 		perIter := 1.0
@@ -116,8 +129,8 @@ func TestOverlapBeatsSinglePool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	multi, _, _ := DF(Config{N: 256, Iters: 60, Nodes: 4})
-	single, _, _ := DF(Config{N: 256, Iters: 60, Nodes: 4, SinglePool: true})
+	multi, _, _ := runDF(t, Config{N: 256, Iters: 60, Nodes: 4}, filaments.ImplicitInvalidate)
+	single, _, _ := runDF(t, Config{N: 256, Iters: 60, Nodes: 4, SinglePool: true}, filaments.ImplicitInvalidate)
 	if multi.Elapsed >= single.Elapsed {
 		t.Fatalf("multi-pool %.2fs not faster than single-pool %.2fs",
 			multi.Seconds(), single.Seconds())
@@ -130,8 +143,8 @@ func TestImplicitInvalidateBeatsWriteInvalidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	ii, _, _ := DF(Config{N: 256, Iters: 60, Nodes: 4, Protocol: filaments.ImplicitInvalidate})
-	wi, _, _ := DF(Config{N: 256, Iters: 60, Nodes: 4, Protocol: filaments.WriteInvalidate})
+	ii, _, _ := runDF(t, Config{N: 256, Iters: 60, Nodes: 4}, filaments.ImplicitInvalidate)
+	wi, _, _ := runDF(t, Config{N: 256, Iters: 60, Nodes: 4}, filaments.WriteInvalidate)
 	if ii.Elapsed >= wi.Elapsed {
 		t.Fatalf("implicit-invalidate %.2fs not faster than write-invalidate %.2fs",
 			ii.Seconds(), wi.Seconds())
@@ -141,8 +154,8 @@ func TestImplicitInvalidateBeatsWriteInvalidate(t *testing.T) {
 // Automatic pool clustering (the paper's future-work extension) must be
 // correct and cluster each node's filaments into a handful of pools.
 func TestAutoPoolsCorrect(t *testing.T) {
-	want := Reference(64, 20)
-	_, got, cl := DF(Config{N: 64, Iters: 20, Nodes: 4, AutoPools: true})
+	want := Reference(Config{N: 64, Iters: 20})
+	_, got, cl := runDF(t, Config{N: 64, Iters: 20, Nodes: 4, AutoPools: true}, filaments.ImplicitInvalidate)
 	if err := gridEqual(got, want); err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +180,8 @@ func TestAutoPoolsOverlap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	auto, _, _ := DF(Config{N: 256, Iters: 150, Nodes: 4, AutoPools: true})
-	single, _, _ := DF(Config{N: 256, Iters: 150, Nodes: 4, SinglePool: true})
+	auto, _, _ := runDF(t, Config{N: 256, Iters: 150, Nodes: 4, AutoPools: true}, filaments.ImplicitInvalidate)
+	single, _, _ := runDF(t, Config{N: 256, Iters: 150, Nodes: 4, SinglePool: true}, filaments.ImplicitInvalidate)
 	if auto.Elapsed >= single.Elapsed {
 		t.Fatalf("auto pools %.2fs not faster than single pool %.2fs",
 			auto.Seconds(), single.Seconds())
@@ -178,7 +191,7 @@ func TestAutoPoolsOverlap(t *testing.T) {
 // After the sharing pattern stabilizes, the runtime must have consolidated
 // the non-faulting pools: one pool per faulting edge plus one local pool.
 func TestAutoPoolsConsolidate(t *testing.T) {
-	_, _, cl := DF(Config{N: 256, Iters: 20, Nodes: 4, AutoPools: true})
+	_, _, cl := runDF(t, Config{N: 256, Iters: 20, Nodes: 4, AutoPools: true}, filaments.ImplicitInvalidate)
 	for i := 1; i < 3; i++ { // interior nodes: 2 edge pools + 1 local
 		order := cl.Runtime(i).PoolOrder()
 		if len(order) != 3 {

@@ -22,32 +22,16 @@ import (
 	"filaments/internal/simnet"
 )
 
-// Config parameterizes a run.
+// Config is the problem shape. Cluster-level settings — protocol,
+// tracing, monitors — belong to the cluster the caller builds.
 type Config struct {
 	// N is the matrix dimension (the paper uses 512).
 	N int
-	// Nodes is the cluster size.
+	// Nodes is the cluster size of the Sequential and CoarseGrain
+	// baselines; Setup takes it from its host.
 	Nodes int
-	// Protocol for the DF variant. The zero value selects the paper's
-	// choice, write-invalidate.
-	Protocol filaments.Protocol
-	// UseMigratory forces the migratory protocol (the Protocol field's
-	// zero value means "app default", i.e. write-invalidate).
-	UseMigratory bool
-	// Seed for the simulation (default 1).
+	// Seed for the baselines' simulation (default 1).
 	Seed int64
-	// Tracer, when non-nil, records kernel trace events from the DF
-	// variant.
-	Tracer *filaments.Tracer
-	// Monitor, when non-nil, observes the DF variants' DSM accesses and
-	// synchronization events (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window in the DF
-	// variants: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
-	// NoDiffs disables twin-and-diff page shipping in the UDP variants;
-	// ignored by the simulation, which always ships whole pages.
-	NoDiffs bool
 }
 
 func (c *Config) defaults() {
@@ -56,9 +40,6 @@ func (c *Config) defaults() {
 	}
 	if c.Nodes == 0 {
 		c.Nodes = 1
-	}
-	if c.Protocol == filaments.Migratory {
-		c.Protocol = filaments.WriteInvalidate
 	}
 }
 
@@ -73,7 +54,9 @@ func pointCost(n int) filaments.Duration {
 }
 
 // Reference computes C = A×B in plain Go, for verification.
-func Reference(n int) [][]float64 {
+func Reference(cfg Config) [][]float64 {
+	cfg.defaults()
+	n := cfg.N
 	a, b := localInit(n)
 	c := make([][]float64, n)
 	for i := range c {
@@ -198,37 +181,18 @@ func CoarseGrain(cfg Config) (*filaments.Report, [][]float64) {
 	return rep, out
 }
 
-// DF runs the Distributed Filaments program: one RTC filament per point of
-// C, write-invalidate, A and B initialized by the master.
-func DF(cfg Config) (*filaments.Report, [][]float64, *filaments.Cluster) {
+// Setup allocates A, B (on the master) and C (striped) on h and returns
+// the Distributed Filaments node program — one RTC filament per point of
+// C — with C. Every binding runs exactly this code, and the product is
+// bitwise-identical to Reference's (identical inner-product evaluation
+// order), so callers verify with exact comparison. The paper runs it
+// under write-invalidate (the app table's default).
+func Setup(h filaments.Host, cfg Config) (filaments.Program, filaments.Matrix) {
 	cfg.defaults()
-	n, p := cfg.N, cfg.Nodes
-	proto := cfg.Protocol
-	if cfg.UseMigratory {
-		proto = filaments.Migratory
-	}
-	cl := filaments.New(filaments.Config{
-		Nodes:        p,
-		Seed:         cfg.Seed,
-		Protocol:     proto,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
-	a := cl.AllocMatrixOwned(n, n, 0)
-	b := cl.AllocMatrixOwned(n, n, 0)
-	cm := cl.AllocMatrixStriped(n, n)
-	rep, err := cl.Run(dfProgram(cfg, a, b, cm))
-	if err != nil {
-		panic(err)
-	}
-	return rep, cl.PeekMatrix(cm), cl
-}
-
-// dfProgram is the DF node program shared by the simulated cluster (DF)
-// and the real-time UDP cluster (DFUDP). cfg must already be defaulted.
-func dfProgram(cfg Config, a, b, cm filaments.Matrix) filaments.Program {
-	n, p := cfg.N, cfg.Nodes
+	n, p := cfg.N, h.Nodes()
+	a := filaments.AllocMatrix(h, n, n, filaments.AllocOpts{})
+	b := filaments.AllocMatrix(h, n, n, filaments.AllocOpts{})
+	cm := filaments.AllocMatrix(h, n, n, filaments.StripedRows(n, n, p))
 	return func(rt *filaments.Runtime, e *filaments.Exec) {
 		me := rt.ID()
 		d := rt.DSM()
@@ -271,70 +235,7 @@ func dfProgram(cfg Config, a, b, cm filaments.Matrix) filaments.Program {
 		rt.RunPools(e)
 		// Barrier 2: all of C computed before the master would print it.
 		e.Barrier()
-	}
-}
-
-// udpHost is the slice of the UDPCluster/UDPRun surface the program
-// needs; both satisfy it, so the single-program form (DFUDP) and the
-// service form (DFOn, one job on a live daemon cluster) share one body.
-type udpHost interface {
-	AllocMatrixOwned(rows, cols, owner int) filaments.Matrix
-	AllocMatrixStriped(rows, cols int) filaments.Matrix
-	Run(filaments.Program) (*filaments.UDPReport, error)
-	PeekMatrix(filaments.Matrix) [][]float64
-}
-
-// dfOn allocates the matrices on h, runs the DF program, and peeks the
-// product. cfg must already be defaulted.
-func dfOn(cfg Config, h udpHost) (*filaments.UDPReport, [][]float64, error) {
-	n := cfg.N
-	a := h.AllocMatrixOwned(n, n, 0)
-	b := h.AllocMatrixOwned(n, n, 0)
-	cm := h.AllocMatrixStriped(n, n)
-	rep, err := h.Run(dfProgram(cfg, a, b, cm))
-	if err != nil {
-		return rep, nil, err
-	}
-	return rep, h.PeekMatrix(cm), nil
-}
-
-// DFUDP runs the same DF program on a single-process real-time cluster:
-// every node is a set of goroutines with its own UDP endpoint on loopback.
-// The result is bitwise-identical to Reference's (identical inner-product
-// evaluation order), so callers verify with exact comparison.
-func DFUDP(cfg Config) (*filaments.UDPReport, [][]float64, *filaments.UDPCluster, error) {
-	cfg.defaults()
-	proto := cfg.Protocol
-	if cfg.UseMigratory {
-		proto = filaments.Migratory
-	}
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-		Nodes:        cfg.Nodes,
-		Protocol:     proto,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-		NoDiffs:      cfg.NoDiffs,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rep, prod, err := dfOn(cfg, cl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rep, prod, cl, nil
-}
-
-// DFOn runs the DF program as one job on a live service cluster's run
-// (internal/cluster/daemon submits jobs here). Cluster-wide settings —
-// protocol, tracing, codec — were fixed when the run was started; cfg
-// supplies the problem shape. The product is bitwise-identical to
-// Reference's, exactly as under DFUDP.
-func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, [][]float64, error) {
-	cfg.Nodes = run.Nodes()
-	cfg.defaults()
-	return dfOn(cfg, run)
+	}, cm
 }
 
 // strip returns the row range [lo, hi) node k computes.

@@ -13,35 +13,20 @@ import (
 	"sort"
 
 	"filaments"
-	"filaments/internal/dsm"
 )
 
-// Config parameterizes a run.
+// Config is the problem shape. Cluster-level settings — protocol,
+// stealing, tracing, monitors — belong to the cluster the caller builds.
 type Config struct {
 	// N is the element count (default 1 << 15).
 	N int
 	// Leaf is the sequential-sort threshold (default 2048 elements).
 	Leaf int
-	// Nodes is the cluster size.
+	// Nodes is the cluster size of the Sequential baseline; Setup takes it
+	// from its host.
 	Nodes int
-	// Stealing enables dynamic load balancing (off by default: the tree
-	// is balanced).
-	Stealing bool
-	// Protocol for the DF variant; the zero value is migratory, the app
-	// default (each filament sorts a contiguous range, so its page groups
-	// migrate once and stay for the whole leaf sort).
-	Protocol filaments.Protocol
-	// Seed for both the simulation and the input permutation.
+	// Seed for the input permutation and the baseline's simulation.
 	Seed int64
-	// Tracer, when non-nil, records kernel trace events from the DF
-	// variant.
-	Tracer *filaments.Tracer
-	// Monitor, when non-nil, observes the DF variant's DSM accesses and
-	// synchronization events (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window in the DF
-	// variant: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
 }
 
 func (c *Config) defaults() {
@@ -140,26 +125,20 @@ func mergeLocal(v, scratch []float64, lo, mid, hi int) {
 
 const fnSort = 1
 
-// DF runs the fork/join Filaments program over the DSM.
-func DF(cfg Config) (*filaments.Report, []float64, *filaments.Cluster) {
+// Setup allocates the array on h and returns the fork/join Filaments node
+// program with the array as a 1×N row, sorted afterwards. The app table's
+// defaults are migratory (each filament sorts a contiguous range, so its
+// page groups migrate once and stay for the whole leaf sort) and no
+// stealing (the tree is balanced).
+func Setup(h filaments.Host, cfg Config) (filaments.Program, filaments.Matrix) {
 	cfg.defaults()
-	cl := filaments.New(filaments.Config{
-		Nodes:        cfg.Nodes,
-		Seed:         cfg.Seed,
-		Protocol:     cfg.Protocol,
-		Stealing:     cfg.Stealing,
-		WakeFront:    true,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
 	// The array as page groups of one leaf each, so a leaf sort moves its
 	// data in one request.
-	groupPages := (cfg.Leaf*8 + dsm.PageSize - 1) / dsm.PageSize
-	base := cl.Space().Alloc(int64(cfg.N)*8, dsm.AllocOpts{Owner: 0, GroupPages: groupPages})
+	groupPages := (cfg.Leaf*8 + filaments.PageSize - 1) / filaments.PageSize
+	base := h.AllocWith(int64(cfg.N)*8, filaments.AllocOpts{Owner: 0, GroupPages: groupPages})
 	at := func(i int) filaments.Addr { return base + filaments.Addr(i*8) }
 
-	rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+	return func(rt *filaments.Runtime, e *filaments.Exec) {
 		if rt.ID() == 0 {
 			for i, x := range input(cfg.N, cfg.Seed) {
 				e.WriteF64(at(i), x)
@@ -218,13 +197,5 @@ func DF(cfg Config) (*filaments.Report, []float64, *filaments.Cluster) {
 		rt.RegisterFJ(fnSort, body)
 		e.Barrier()
 		rt.RunForkJoin(e, fnSort, filaments.Args{0, int64(cfg.N)})
-	})
-	if err != nil {
-		panic(err)
-	}
-	out := make([]float64, cfg.N)
-	for i := range out {
-		out[i] = cl.PeekF64(at(i))
-	}
-	return rep, out, cl
+	}, filaments.Matrix{Base: base, Rows: 1, Cols: cfg.N}
 }

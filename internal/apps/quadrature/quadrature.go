@@ -26,33 +26,20 @@ type interval struct {
 	Done bool
 }
 
-// Config parameterizes a run.
+// Config is the problem shape. Cluster-level settings — stealing,
+// tracing, monitors — belong to the cluster the caller builds.
 type Config struct {
 	// A, B is the interval; the paper integrates an interval of length 24.
 	A, B float64
 	// Tol is the relative tolerance driving recursion depth.
 	Tol float64
-	// Nodes is the cluster size.
+	// Nodes is the cluster size of the Sequential, CoarseGrain and
+	// BagOfTasks baselines; Setup takes it from its host.
 	Nodes int
 	// MaxDepth caps recursion (safety net; the tolerance terminates first).
 	MaxDepth int
-	// Seed for the simulation.
+	// Seed for the baselines' simulation.
 	Seed int64
-	// Protocol for the DF variants. The program never touches the DSM, so
-	// this only matters to harnesses (cmd/dfcheck) that sweep protocols.
-	Protocol filaments.Protocol
-	// Tracer, when non-nil, records kernel trace events from the DF
-	// variants (sim and UDP).
-	Tracer *filaments.Tracer
-	// Monitor, when non-nil, observes the DF variants' DSM accesses and
-	// synchronization events (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window in the DF
-	// variants: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
-	// NoDiffs disables twin-and-diff page shipping in the UDP variants;
-	// ignored by the simulation, which always ships whole pages.
-	NoDiffs bool
 }
 
 func (c *Config) defaults() {
@@ -247,89 +234,18 @@ func BagOfTasks(cfg Config, tasks int) (*filaments.Report, float64) {
 
 const fnQuad = 1
 
-// DF runs the fork/join Filaments program with dynamic load balancing. All
-// information travels in the filament arguments (the paper notes this
-// program does not use the DSM).
-func DF(cfg Config) (*filaments.Report, float64, *filaments.Cluster) {
-	rep, area, cl := dfRun(cfg, true)
-	return rep, area, cl
-}
-
-// DFWithStealing runs the DF program with load balancing explicitly on or
-// off (the paper's programmer-controllable switch), for ablation.
-func DFWithStealing(cfg Config, stealing bool) (*filaments.Report, float64) {
-	rep, area, _ := dfRun(cfg, stealing)
-	return rep, area
-}
-
-func dfRun(cfg Config, stealing bool) (*filaments.Report, float64, *filaments.Cluster) {
+// Setup returns the fork/join Filaments node program and where node 0
+// leaves the area. All information travels in the filament arguments (the
+// paper notes this program does not use the DSM), so nothing is allocated
+// on the host. The paper runs it with receiver-initiated load balancing on (the
+// app table's default; the cluster's Stealing setting is the paper's
+// programmer-controllable switch). With stealing, steal-race timing makes
+// the summation order nondeterministic under real time, so there the area
+// agrees with Reference only to rounding and callers compare within a
+// tolerance.
+func Setup(_ filaments.Host, cfg Config) (filaments.Program, *float64) {
 	cfg.defaults()
-	cl := filaments.New(filaments.Config{
-		Nodes:        cfg.Nodes,
-		Seed:         cfg.Seed,
-		Protocol:     cfg.Protocol,
-		Stealing:     stealing,
-		WakeFront:    true,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
-	var out float64
-	rep, err := cl.Run(dfProgram(cfg, &out))
-	if err != nil {
-		panic(err)
-	}
-	return rep, out, cl
-}
-
-// DFUDP runs the same fork/join program on the single-process real-time
-// cluster: goroutine nodes with UDP endpoints on loopback. Steal-race
-// timing makes the summation order nondeterministic, so the area agrees
-// with Reference only to rounding (callers compare within a tolerance).
-func DFUDP(cfg Config, stealing bool) (*filaments.UDPReport, float64, error) {
-	cfg.defaults()
-	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
-		Nodes:        cfg.Nodes,
-		Protocol:     cfg.Protocol,
-		Stealing:     stealing,
-		WakeFront:    true,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-		NoDiffs:      cfg.NoDiffs,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	var out float64
-	rep, err := cl.Run(dfProgram(cfg, &out))
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep, out, nil
-}
-
-// DFOn runs the fork/join program as one job on a live service cluster's
-// run (internal/cluster/daemon submits jobs here). Stealing and
-// WakeFront were fixed when the run was started; cfg supplies the
-// integrand shape. As under DFUDP, steal-race timing makes the summation
-// order nondeterministic, so the area agrees with Reference only to
-// rounding.
-func DFOn(cfg Config, run *filaments.UDPRun) (*filaments.UDPReport, float64, error) {
-	cfg.Nodes = run.Nodes()
-	cfg.defaults()
-	var out float64
-	rep, err := run.Run(dfProgram(cfg, &out))
-	if err != nil {
-		return rep, 0, err
-	}
-	return rep, out, nil
-}
-
-// dfProgram is the DF node program shared by every binding: the simulated
-// cluster and the real-time UDP cluster run exactly this code. cfg must
-// already be defaulted; *out receives the area on node 0.
-func dfProgram(cfg Config, out *float64) filaments.Program {
+	out := new(float64)
 	bits := func(x float64) int64 { return int64(math.Float64bits(x)) }
 	val := func(b int64) float64 { return math.Float64frombits(uint64(b)) }
 	return func(rt *filaments.Runtime, e *filaments.Exec) {
@@ -374,5 +290,5 @@ func dfProgram(cfg Config, out *float64) filaments.Program {
 		if rt.ID() == 0 {
 			*out = v
 		}
-	}
+	}, out
 }

@@ -3,7 +3,23 @@ package quadrature
 import (
 	"math"
 	"testing"
+
+	"filaments"
 )
+
+// runDF runs Setup's program in the simulation on cfg.Nodes nodes with load
+// balancing on, as the paper ran it, and returns the report, the area
+// and the cluster.
+func runDF(t *testing.T, cfg Config) (*filaments.Report, float64, *filaments.Cluster) {
+	t.Helper()
+	cl := filaments.New(filaments.Config{Nodes: cfg.Nodes, Stealing: true, WakeFront: true})
+	prog, area := Setup(cl, cfg)
+	rep, err := cl.Run(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, *area, cl
+}
 
 func TestVariantsAgreeOnArea(t *testing.T) {
 	cfg := Config{Tol: 1e-3} // coarse: fast tests
@@ -20,7 +36,7 @@ func TestVariantsAgreeOnArea(t *testing.T) {
 		if _, cg := CoarseGrain(cfg); math.Abs(cg-want) > 1e-9*math.Abs(want) {
 			t.Fatalf("p=%d CG area %v != %v", p, cg, want)
 		}
-		if _, df, _ := DF(cfg); math.Abs(df-want) > 1e-9*math.Abs(want) {
+		if _, df, _ := runDF(t, cfg); math.Abs(df-want) > 1e-9*math.Abs(want) {
 			t.Fatalf("p=%d DF area %v != %v", p, df, want)
 		}
 		if _, bag := BagOfTasks(cfg, 64); math.Abs(bag-want) > 1e-9*math.Abs(want) {
@@ -53,7 +69,7 @@ func TestDFBeatsCG(t *testing.T) {
 	}
 	cfg := Config{Tol: 1e-4, Nodes: 4}
 	cg, _ := CoarseGrain(cfg)
-	df, _, _ := DF(cfg)
+	df, _, _ := runDF(t, cfg)
 	if df.Seconds() > cg.Seconds()*0.7 {
 		t.Fatalf("DF %.1fs vs CG %.1fs: dynamic balancing should win big",
 			df.Seconds(), cg.Seconds())
@@ -69,7 +85,7 @@ func TestBagOfTasksTradeoff(t *testing.T) {
 	cfg := Config{Tol: 1e-4, Nodes: 8}
 	cg, _ := CoarseGrain(cfg)
 	bag, _ := BagOfTasks(cfg, 256)
-	df, _, _ := DF(cfg)
+	df, _, _ := runDF(t, cfg)
 	if bag.Seconds() >= cg.Seconds() {
 		t.Fatalf("bag %.1fs should beat static CG %.1fs", bag.Seconds(), cg.Seconds())
 	}
@@ -80,7 +96,7 @@ func TestBagOfTasksTradeoff(t *testing.T) {
 
 func TestStealingHappensInDF(t *testing.T) {
 	cfg := Config{Tol: 1e-4, Nodes: 4}
-	_, _, cl := DF(cfg)
+	_, _, cl := runDF(t, cfg)
 	var granted int64
 	for i := 0; i < 4; i++ {
 		granted += cl.Runtime(i).Stats().StealsGranted

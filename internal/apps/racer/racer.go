@@ -5,9 +5,9 @@
 // The dynamic bug: after a barrier, node 0 rewrites a shared array in the
 // same phase in which node 1 reads it — no barrier, reduction, or
 // fork/join edge orders the two, so whichever interleaving the scheduler
-// picks, the accesses race. Under write-invalidate (the default here) the
-// reader works from a cached read-only copy, so the race is also a real
-// stale-value hazard; under migratory every conflicting pair is ordered
+// picks, the accesses race. Under write-invalidate (the app table's
+// default) the reader works from a cached read-only copy, so the race is
+// also a real stale-value hazard; under migratory every conflicting pair is ordered
 // by the page's ownership transfer, which is why the checker documents
 // migratory races as undetectable by construction.
 //
@@ -25,13 +25,9 @@ import (
 // Words is the length of the shared array the racing phase touches.
 const Words = 64
 
-// Config parameterizes a run.
+// Config selects the seeded dynamic bug. The cluster needs at least two
+// nodes for either race to exist.
 type Config struct {
-	// Nodes is the cluster size (>= 2 for the race to exist).
-	Nodes int
-	// Protocol defaults to write-invalidate; the seeded race is invisible
-	// under migratory (see the package comment).
-	Protocol filaments.Protocol
 	// OverlapWriters replaces phase 1's write/read race with a
 	// write/write race: nodes 0 and 1 both write every word of the shared
 	// array in the same interval. Under lazy release consistency this is
@@ -39,42 +35,15 @@ type Config struct {
 	// for — two twinned writers flush overlapping diffs and the home's
 	// merge order picks a winner — so dfcheck must flag it.
 	OverlapWriters bool
-	// Seed for the simulation.
-	Seed int64
-	// Monitor, when non-nil, observes the run (the cmd/dfcheck seam).
-	Monitor filaments.Monitor
-	// MirageWindow overrides the Mirage anti-thrashing window: 0 keeps
-	// the model default, negative disables it.
-	MirageWindow filaments.Duration
-	// Tracer, when non-nil, records kernel trace events.
-	Tracer *filaments.Tracer
 }
 
-func (c *Config) defaults() {
-	if c.Nodes == 0 {
-		c.Nodes = 2
-	}
-	if c.Protocol == filaments.Migratory {
-		c.Protocol = filaments.WriteInvalidate
-	}
-}
-
-// DF runs the seeded-race program and returns the run report and the sum
-// node 1 read during the racing phase (its value depends on the
-// interleaving — that is the point).
-func DF(cfg Config) (*filaments.Report, float64, *filaments.Cluster) {
-	cfg.defaults()
-	cl := filaments.New(filaments.Config{
-		Nodes:        cfg.Nodes,
-		Seed:         cfg.Seed,
-		Protocol:     cfg.Protocol,
-		Tracer:       cfg.Tracer,
-		Monitor:      cfg.Monitor,
-		MirageWindow: cfg.MirageWindow,
-	})
-	data := cl.AllocOwned(Words*8, 0)
-	var racySum float64
-	rep, err := cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+// Setup allocates the shared array on h and returns the seeded-race node
+// program with the sum node 1 reads during the racing phase (its value
+// depends on the interleaving — that is the point).
+func Setup(h filaments.Host, cfg Config) (filaments.Program, *float64) {
+	data := h.AllocWith(Words*8, filaments.AllocOpts{})
+	racy := new(float64)
+	return func(rt *filaments.Runtime, e *filaments.Exec) {
 		me := rt.ID()
 		d := rt.DSM()
 		e.Barrier()
@@ -92,7 +61,7 @@ func DF(cfg Config) (*filaments.Report, float64, *filaments.Cluster) {
 			// node 1 sums it, with no synchronization between them.
 			if me == 1 {
 				for i := 0; i < Words; i++ {
-					racySum += e.ReadF64(data + filaments.Addr(i*8))
+					*racy += e.ReadF64(data + filaments.Addr(i*8))
 				}
 			}
 			if me == 0 {
@@ -129,9 +98,5 @@ func DF(cfg Config) (*filaments.Report, float64, *filaments.Cluster) {
 			rt.RunPools(e) //dflint:allow barrierphase seeded bug: write distributed without barrier, dfcheck self-test
 		}
 		e.Barrier()
-	})
-	if err != nil {
-		panic(err)
-	}
-	return rep, racySum, cl
+	}, racy
 }

@@ -38,13 +38,13 @@ func ablAutoPool(w io.Writer, o Options) {
 		cfg.Iters = 60
 	}
 	fmt.Fprintf(w, "Jacobi on 8 nodes: pool assignment strategies\n")
-	hand, _, _ := jacobi.DF(cfg)
+	hand, _, _ := runDF("jacobi", cfg.Nodes, nil, jacobi.Setup, cfg)
 	a := cfg
 	a.AutoPools = true
-	auto, _, cl := jacobi.DF(a)
+	auto, _, cl := runDF("jacobi", cfg.Nodes, nil, jacobi.Setup, a)
 	s := cfg
 	s.SinglePool = true
-	single, _, _ := jacobi.DF(s)
+	single, _, _ := runDF("jacobi", cfg.Nodes, nil, jacobi.Setup, s)
 	fmt.Fprintf(w, "  hand pools (top/bottom/interior): %8.1f s\n", hand.Seconds())
 	fmt.Fprintf(w, "  automatic clustering:             %8.1f s (%d pools on node 1 after consolidation)\n",
 		auto.Seconds(), len(cl.Runtime(1).PoolOrder()))
@@ -88,15 +88,7 @@ func ablPCP(w io.Writer, o Options) {
 	for _, proto := range []filaments.Protocol{
 		filaments.ImplicitInvalidate, filaments.WriteInvalidate, filaments.Migratory,
 	} {
-		c := cfg
-		if proto == filaments.Migratory {
-			// The Config's Protocol zero value means "app default", so a
-			// genuine migratory run uses the explicit flag.
-			c.UseMigratory = true
-		} else {
-			c.Protocol = proto
-		}
-		rep, _, cl := jacobi.DF(c)
+		rep, _, cl := runDF("jacobi", cfg.Nodes, under(proto), jacobi.Setup, cfg)
 		var invals, faults int64
 		for i := 0; i < cfg.Nodes; i++ {
 			st := cl.Runtime(i).DSM().Stats()
@@ -121,10 +113,9 @@ func ablOverlap(w io.Writer, o Options) {
 	fmt.Fprintf(w, "  %-6s %12s %12s %12s\n", "Nodes", "3 pools (s)", "1 pool (s)", "gain")
 	for _, p := range []int{2, 4, 8} {
 		c := cfg
-		c.Nodes = p
-		multi, _, _ := jacobi.DF(c)
+		multi, _, _ := runDF("jacobi", p, nil, jacobi.Setup, c)
 		c.SinglePool = true
-		single, _, _ := jacobi.DF(c)
+		single, _, _ := runDF("jacobi", p, nil, jacobi.Setup, c)
 		fmt.Fprintf(w, "  %-6d %12.1f %12.1f %11.1f%%\n", p,
 			multi.Seconds(), single.Seconds(),
 			100*(single.Seconds()-multi.Seconds())/single.Seconds())
@@ -145,24 +136,19 @@ func ablSteal(w io.Writer, o Options) {
 		ecfg.N = 24
 	}
 	fmt.Fprintf(w, "receiver-initiated load balancing on 8 nodes\n")
-	qOn, _, _ := quadrature.DF(qcfg)
-	qOffRep := runQuadNoSteal(qcfg)
+	// The cluster's Stealing setting is the paper's programmer-controllable
+	// switch: the table turns it on for quadrature and off for the trees.
+	steal := func(on bool) func(*filaments.Config) {
+		return func(fc *filaments.Config) { fc.Stealing = on }
+	}
+	qOn, _, _ := runDF("quadrature", qcfg.Nodes, nil, quadrature.Setup, qcfg)
+	qOff, _, _ := runDF("quadrature", qcfg.Nodes, steal(false), quadrature.Setup, qcfg)
 	fmt.Fprintf(w, "  adaptive quadrature: stealing %8.1f s, no stealing %8.1f s (imbalanced: stealing must win)\n",
-		qOn.Seconds(), qOffRep.Seconds())
-	eOff, _, _ := exprtree.DF(ecfg)
-	ecfg.Stealing = true
-	eOn, _, _ := exprtree.DF(ecfg)
+		qOn.Seconds(), qOff.Seconds())
+	eOff, _, _ := runDF("exprtree", ecfg.Nodes, nil, exprtree.Setup, ecfg)
+	eOn, _, _ := runDF("exprtree", ecfg.Nodes, steal(true), exprtree.Setup, ecfg)
 	fmt.Fprintf(w, "  expression trees:    stealing %8.1f s, no stealing %8.1f s (balanced: paper says stealing \"does not pay\")\n",
 		eOn.Seconds(), eOff.Seconds())
-}
-
-// runQuadNoSteal reruns the DF quadrature with stealing disabled. The
-// quadrature app enables stealing unconditionally (as the paper's program
-// did), so this variant reimplements the call with the flag off via the
-// public API.
-func runQuadNoSteal(cfg quadrature.Config) *filaments.Report {
-	rep, _ := quadrature.DFWithStealing(cfg, false)
-	return rep
 }
 
 // ablBarrier compares the tournament barrier with the centralized
@@ -255,12 +241,11 @@ func mirageModel(m *filaments.CostModel, window sim.Duration) *filaments.CostMod
 // test was aborted").
 func ablLoss(w io.Writer, o Options) {
 	cfg := jacobi.Config{Nodes: 4, N: 128, Iters: 60}
-	want := jacobi.Reference(128, 60)
+	want := jacobi.Reference(cfg)
 	fmt.Fprintf(w, "Jacobi DF on 4 nodes under injected frame loss\n")
 	for _, loss := range []float64{0, 0.01, 0.05, 0.10} {
-		c := cfg
-		c.LossRate = loss
-		rep, grid, _ := jacobi.DF(c)
+		rep, final, cl := runDF("jacobi", cfg.Nodes, func(fc *filaments.Config) { fc.LossRate = loss }, jacobi.Setup, cfg)
+		grid := cl.PeekMatrix(final)
 		ok := true
 		for i := range grid {
 			for j := range grid[i] {

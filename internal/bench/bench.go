@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"filaments"
+	"filaments/internal/apps"
 )
 
 // Options controls experiment scale.
@@ -153,4 +156,31 @@ func (t *table) row(nodes int, cg, df float64, paperCG, paperDF string) {
 	if t.res != nil {
 		t.res.Rows = append(t.res.Rows, r)
 	}
+}
+
+// runDF runs a table application's DF program in the simulation: on the
+// cluster internal/apps says the application runs on (its protocol,
+// stealing and wake-front defaults), after tune, if any, has adjusted it.
+// setup and cfg are the application package's own, so an experiment can
+// vary shape fields the shared Params do not carry. It returns the
+// report, where the result lies, and the cluster for its counters.
+func runDF[C, R any](name string, nodes int, tune func(*filaments.Config),
+	setup func(filaments.Host, C) (filaments.Program, R), cfg C) (*filaments.Report, R, *filaments.Cluster) {
+	app, _ := apps.ByName(name)
+	fc := filaments.Config{Nodes: nodes, Protocol: app.Protocol, Stealing: app.Stealing, WakeFront: app.WakeFront}
+	if tune != nil {
+		tune(&fc)
+	}
+	cl := filaments.New(fc)
+	prog, res := setup(cl, cfg)
+	rep, err := cl.Run(prog)
+	if err != nil {
+		panic(err)
+	}
+	return rep, res, cl
+}
+
+// under is the runDF tune that replaces the application's protocol.
+func under(p filaments.Protocol) func(*filaments.Config) {
+	return func(fc *filaments.Config) { fc.Protocol = p }
 }

@@ -202,7 +202,7 @@ func fig4(w io.Writer, o Options) {
 		c := cfg
 		c.Nodes = p
 		cg, _ := matmul.CoarseGrain(c)
-		df, _, cl := matmul.DF(c)
+		df, _, cl := runDF("matmul", p, nil, matmul.Setup, c)
 		t.row(p, cg.Seconds(), df.Seconds(), paperCG[p], paperDF[p])
 		if p == 8 {
 			served8 = cl.Runtime(0).DSM().Stats().Served
@@ -215,7 +215,7 @@ func fig4(w io.Writer, o Options) {
 
 // --- Figure 5 ---
 
-func jacobiTable(w io.Writer, o Options, title string, dfCfg func(*jacobi.Config), paperDF map[int]string) {
+func jacobiTable(w io.Writer, o Options, title string, proto filaments.Protocol, singlePool bool, paperDF map[int]string) {
 	cfg := jacobi.Config{}
 	if o.Quick {
 		cfg.N = 128
@@ -228,17 +228,14 @@ func jacobiTable(w io.Writer, o Options, title string, dfCfg func(*jacobi.Config
 		c := cfg
 		c.Nodes = p
 		cg, _ := jacobi.CoarseGrain(c)
-		dc := c
-		if dfCfg != nil {
-			dfCfg(&dc)
-		}
-		df, _, _ := jacobi.DF(dc)
+		c.SinglePool = singlePool
+		df, _, _ := runDF("jacobi", p, under(proto), jacobi.Setup, c)
 		t.row(p, cg.Seconds(), df.Seconds(), paperCG[p], paperDF[p])
 	}
 }
 
 func fig5(w io.Writer, o Options) {
-	jacobiTable(w, o, "Jacobi iteration, implicit-invalidate, 3 pools", nil,
+	jacobiTable(w, o, "Jacobi iteration, implicit-invalidate, 3 pools", filaments.ImplicitInvalidate, false,
 		map[int]string{1: "212", 2: "102", 4: "59.8", 8: "38.5"})
 }
 
@@ -257,7 +254,7 @@ func fig6(w io.Writer, o Options) {
 		c := cfg
 		c.Nodes = p
 		cg, _ := quadrature.CoarseGrain(c)
-		df, _, _ := quadrature.DF(c)
+		df, _, _ := runDF("quadrature", p, nil, quadrature.Setup, c)
 		t.row(p, cg.Seconds(), df.Seconds(), paperCG[p], paperDF[p])
 	}
 	// §4.3's second coarse-grain program: the centralized bag of tasks.
@@ -289,7 +286,7 @@ func fig7(w io.Writer, o Options) {
 		c := cfg
 		c.Nodes = p
 		cg, _ := exprtree.CoarseGrain(c)
-		df, _, _ := exprtree.DF(c)
+		df, _, _ := runDF("exprtree", p, nil, exprtree.Setup, c)
 		t.row(p, cg.Seconds(), df.Seconds(), paperCG[p], paperDF[p])
 	}
 	fmt.Fprintf(w, "  tail-end speedup cap for height 7: 3.85 on 4 nodes, 7.06 on 8 (paper)\n")
@@ -431,7 +428,7 @@ func fig10(w io.Writer, o Options) {
 		cfg.N = 128
 		cfg.Iters = 60
 	}
-	rep, _, _ := jacobi.DF(cfg)
+	rep, _, _ := runDF("jacobi", cfg.Nodes, nil, jacobi.Setup, cfg)
 	fmt.Fprintf(w, "Jacobi iteration, 8 nodes: per-node time breakdown (seconds)\n")
 	fmt.Fprintf(w, "  total execution time: %.1f s (paper, profiled: 42.1 s)\n", rep.Seconds())
 	fmt.Fprintf(w, "  %-10s %8s %14s %14s %14s %12s\n",
@@ -464,12 +461,12 @@ func fig10(w io.Writer, o Options) {
 
 func fig11(w io.Writer, o Options) {
 	jacobiTable(w, o, "Jacobi iteration, write-invalidate PCP (ablation of implicit-invalidate)",
-		func(c *jacobi.Config) { c.Protocol = filaments.WriteInvalidate },
+		filaments.WriteInvalidate, false,
 		map[int]string{1: "212", 2: "103", 4: "61.4", 8: "40.9"})
 }
 
 func fig12(w io.Writer, o Options) {
 	jacobiTable(w, o, "Jacobi iteration, implicit-invalidate, single pool (no overlap)",
-		func(c *jacobi.Config) { c.SinglePool = true },
+		filaments.ImplicitInvalidate, true,
 		map[int]string{1: "212", 2: "104", 4: "65.5", 8: "48.5"})
 }

@@ -28,9 +28,7 @@ func extApps(w io.Writer, o Options) {
 	fmt.Fprintf(w, "  %-6s %12s %12s\n", "Nodes", "Time (s)", "Speedup")
 	fmt.Fprintf(w, "  %-6d %12.2f %12.2f\n", 1, msSeq.Seconds(), 1.0)
 	for _, p := range []int{2, 4, 8} {
-		c := msCfg
-		c.Nodes = p
-		rep, _, _ := mergesort.DF(c)
+		rep, _, _ := runDF("mergesort", p, nil, mergesort.Setup, msCfg)
 		fmt.Fprintf(w, "  %-6d %12.2f %12.2f\n", p, rep.Seconds(), msSeq.Seconds()/rep.Seconds())
 	}
 
@@ -39,9 +37,7 @@ func extApps(w io.Writer, o Options) {
 	fmt.Fprintf(w, "  %-6s %12s %12s\n", "Nodes", "Time (s)", "Speedup")
 	fmt.Fprintf(w, "  %-6d %12.2f %12.2f\n", 1, fftSeq.Seconds(), 1.0)
 	for _, p := range []int{2, 4, 8} {
-		c := fftCfg
-		c.Nodes = p
-		rep, _, _, _ := fft.DF(c)
+		rep, _, _ := runDF("fft", p, nil, fft.Setup, fftCfg)
 		fmt.Fprintf(w, "  %-6d %12.2f %12.2f\n", p, rep.Seconds(), fftSeq.Seconds()/rep.Seconds())
 	}
 	fmt.Fprintf(w, "(balanced trees: per the paper, run without dynamic load balancing)\n")

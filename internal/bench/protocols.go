@@ -68,13 +68,7 @@ func protoCrossover(w io.Writer, o Options) {
 	for _, p := range []int{2, 4, 8} {
 		fmt.Fprintf(w, " %d nodes:\n", p)
 		for _, proto := range protoList {
-			cfg := jacobi.Config{N: jn, Iters: ji, Nodes: p}
-			if proto == filaments.Migratory {
-				cfg.UseMigratory = true
-			} else {
-				cfg.Protocol = proto
-			}
-			rep, _, cl := jacobi.DF(cfg)
+			rep, _, cl := runDF("jacobi", p, under(proto), jacobi.Setup, jacobi.Config{N: jn, Iters: ji})
 			protoRow(w, proto, rep.Seconds(), gatherProto(cl, p))
 		}
 	}
@@ -94,27 +88,15 @@ func protoCrossover(w io.Writer, o Options) {
 	for _, p := range []int{2, 4, 8} {
 		fmt.Fprintf(w, " %d nodes:\n", p)
 		for _, proto := range protoList {
-			cfg := matmul.Config{N: mmN, Nodes: p}
-			if proto == filaments.Migratory {
-				cfg.UseMigratory = true
-			} else {
-				cfg.Protocol = proto
-			}
-			rep, _, cl := matmul.DF(cfg)
+			rep, _, cl := runDF("matmul", p, under(proto), matmul.Setup, matmul.Config{N: mmN})
 			protoRow(w, proto, rep.Seconds(), gatherProto(cl, p))
 		}
 	}
 	fmt.Fprintf(w, "\nFFT n=%d leaf=%d and mergesort n=%d leaf=%d on 4 nodes (fork/join)\n", fftN, fftLeaf, msN, msLeaf)
 	for _, proto := range protoList {
-		fcfg := fft.Config{N: fftN, Leaf: fftLeaf, Nodes: 4}
-		if proto == filaments.Migratory {
-			fcfg.UseMigratory = true
-		} else {
-			fcfg.Protocol = proto
-		}
-		frep, _, _, fcl := fft.DF(fcfg)
+		frep, _, fcl := runDF("fft", 4, under(proto), fft.Setup, fft.Config{N: fftN, Leaf: fftLeaf})
 		fs := gatherProto(fcl, 4)
-		mrep, _, mcl := mergesort.DF(mergesort.Config{N: msN, Leaf: msLeaf, Nodes: 4, Protocol: proto})
+		mrep, _, mcl := runDF("mergesort", 4, under(proto), mergesort.Setup, mergesort.Config{N: msN, Leaf: msLeaf})
 		ms := gatherProto(mcl, 4)
 		fmt.Fprintf(w, "  %-20v fft %8.1f s (faults=%d)   mergesort %8.1f s (faults=%d)\n",
 			proto, frep.Seconds(), fs.faults, mrep.Seconds(), ms.faults)

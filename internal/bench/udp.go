@@ -77,12 +77,14 @@ func udpPages(w io.Writer, o Options) {
 	fmt.Fprintf(w, "  %-14s %12s %12s %12s %12s\n",
 		"Config", "Elapsed(ms)", "Pages", "Pages/sec", "Wire KB")
 	for _, tc := range pageShipping {
-		cfg := jacobi.Config{
-			N: n, Iters: iters, Nodes: nodes,
-			Protocol: filaments.ImplicitInvalidate,
-			NoDiffs:  tc.noDiffs,
+		cl, err := filaments.NewUDPCluster(filaments.UDPConfig{
+			Nodes: nodes, Protocol: filaments.ImplicitInvalidate, NoDiffs: tc.noDiffs,
+		})
+		if err != nil {
+			panic(err)
 		}
-		rep, _, _, err := jacobi.DFUDP(cfg)
+		prog, _ := jacobi.Setup(cl, jacobi.Config{N: n, Iters: iters})
+		rep, err := cl.Run(prog)
 		if err != nil {
 			panic(err)
 		}

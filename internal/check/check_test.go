@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"filaments"
+	"filaments/internal/apps"
 	"filaments/internal/dsm"
 	"filaments/internal/kernel"
 )
@@ -162,8 +163,7 @@ func TestDeclaredRangeViolation(t *testing.T) {
 // window on and off, must be race-free, annotation-clean, and
 // bitwise-equal to their single-node runs at every quiescent epoch.
 func TestShippedAppsCleanAndSequentiallyConsistent(t *testing.T) {
-	for _, app := range Apps() {
-		app := app
+	for _, app := range apps.All() {
 		t.Run(app.Name, func(t *testing.T) {
 			results := Sweep(app, 4)
 			// All three protocols, window on and off where terminable:
@@ -200,7 +200,8 @@ func TestShippedAppsCleanAndSequentiallyConsistent(t *testing.T) {
 // TestRacerDetected is the seeded-race acceptance check: the checker must
 // report the race and name both accesses.
 func TestRacerDetected(t *testing.T) {
-	res := CheckApp(Racer(), 2, filaments.WriteInvalidate, true)
+	racer, _ := apps.ByName("racer")
+	res := CheckApp(racer, 2, filaments.WriteInvalidate, true)
 	if res.Err != nil {
 		t.Fatalf("oracle structure: %v", res.Err)
 	}
@@ -223,7 +224,8 @@ func TestRacerDetected(t *testing.T) {
 // flush→merge edges fire at barrier time, after both interval writes, so
 // they must not mask the write/write race.
 func TestOverlapWritersDetectedUnderLRC(t *testing.T) {
-	res := CheckApp(RacerOverlap(), 2, filaments.LazyRelease, true)
+	overlap, _ := apps.ByName("racer-overlap")
+	res := CheckApp(overlap, 2, filaments.LazyRelease, true)
 	if res.Err != nil {
 		t.Fatalf("oracle structure: %v", res.Err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"filaments"
+	"filaments/internal/apps"
 )
 
 // This file is the sequential-consistency oracle: it runs an app's DF
@@ -98,34 +99,21 @@ func CompareEpochs(par, seq []EpochDigest) ([]Mismatch, int, error) {
 	return out, len(par), nil
 }
 
-// AppConfig parameterizes one checked app run.
-type AppConfig struct {
-	Nodes    int
-	Protocol filaments.Protocol
-	// MirageWindow: 0 keeps the model default, negative disables it.
-	MirageWindow filaments.Duration
-	Monitor      filaments.Monitor
-}
-
-// An App is a checkable application: Run executes its DF program in the
-// simulator under the given configuration. The shipped apps use small
-// problem sizes here — the checker observes every access, so dfcheck
-// trades scale for full coverage.
-type App struct {
-	Name string
-	// UsesDSM is false for programs that never touch shared memory
-	// (quadrature); the oracle still compares their (empty) digests.
-	UsesDSM bool
-	// MirageOffSafe reports whether the app terminates on this cluster
-	// size under proto with the Mirage anti-thrashing window disabled.
-	// With the window off, migratory read-sharing (and any write false
-	// sharing, e.g. strips that don't align to page boundaries) hands the
-	// page back and forth forever before the woken thread can touch it —
-	// the livelock the window exists to prevent — so those legs of the
-	// sweep are skipped by design, not by oversight. nil means always
-	// safe.
-	MirageOffSafe func(proto filaments.Protocol, nodes int) bool
-	Run           func(cfg AppConfig)
+// run executes a table application's DF program in the simulator at its
+// Check size — small, because the checker observes every typed access and
+// trades scale for exhaustive coverage; the program itself is the shipped
+// one, unchanged — with mon attached. window 0 keeps the model's Mirage
+// window, negative disables it.
+func run(app *apps.App, nodes int, proto filaments.Protocol, window filaments.Duration, mon filaments.Monitor) {
+	cl := filaments.New(filaments.Config{
+		Nodes: nodes, Seed: 1,
+		Protocol: proto, Stealing: app.Stealing || app.CheckStealing, WakeFront: app.WakeFront,
+		Monitor: mon, MirageWindow: window,
+	})
+	prog, _ := app.Setup(cl, app.Check)
+	if _, err := cl.Run(prog); err != nil {
+		panic(err)
+	}
 }
 
 // Result is the outcome of checking one app under one configuration.
@@ -152,8 +140,13 @@ func (r *Result) Ok() bool {
 }
 
 // Sweep checks app on nodes under every protocol, with the Mirage window
-// on and (where the app declares it safe — see App.MirageOffSafe) off.
-func Sweep(app App, nodes int) []*Result {
+// on and — where the table row declares it safe — off. With the window
+// off, migratory read-sharing (and any write false sharing, e.g. strips
+// that don't align to page boundaries) hands the page back and forth
+// forever before the woken thread can touch it — the livelock the window
+// exists to prevent — so those legs of the sweep are skipped by design,
+// not by oversight.
+func Sweep(app *apps.App, nodes int) []*Result {
 	var out []*Result
 	for _, proto := range []filaments.Protocol{
 		filaments.Migratory, filaments.WriteInvalidate, filaments.ImplicitInvalidate,
@@ -172,15 +165,15 @@ func Sweep(app App, nodes int) []*Result {
 // CheckApp runs app on nodes under proto (with the Mirage window on or
 // off), with the happens-before checker attached, then replays it on a
 // single node and compares per-epoch digests.
-func CheckApp(app App, nodes int, proto filaments.Protocol, mirage bool) *Result {
+func CheckApp(app *apps.App, nodes int, proto filaments.Protocol, mirage bool) *Result {
 	window := filaments.Duration(0)
 	if !mirage {
 		window = -1
 	}
 	par := New(Config{CollectDigests: true, CheckDeclared: true})
-	app.Run(AppConfig{Nodes: nodes, Protocol: proto, MirageWindow: window, Monitor: par})
+	run(app, nodes, proto, window, par)
 	seq := New(Config{CollectDigests: true})
-	app.Run(AppConfig{Nodes: 1, Protocol: proto, MirageWindow: window, Monitor: seq})
+	run(app, 1, proto, window, seq)
 	res := &Result{App: app.Name, Nodes: nodes, Protocol: proto, Model: ModelOf(proto),
 		Mirage: mirage, Parallel: par.Report()}
 	res.Mismatches, res.Epochs, res.Err = CompareEpochs(res.Parallel.Epochs, seq.Report().Epochs)

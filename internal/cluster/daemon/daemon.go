@@ -8,15 +8,12 @@ package daemon
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
 
 	"filaments"
-	"filaments/internal/apps/jacobi"
-	"filaments/internal/apps/matmul"
-	"filaments/internal/apps/quadrature"
+	"filaments/internal/apps"
 	"filaments/internal/cluster"
 	"filaments/internal/obs"
 	"filaments/internal/rtnode"
@@ -294,7 +291,7 @@ func (co *Coordinator) execute(j *Job) (res *JobResult, trace []byte, err error)
 		}
 	}()
 	spec := j.Spec
-	proto, err := spec.protocol()
+	app, proto, err := spec.resolve()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -304,8 +301,8 @@ func (co *Coordinator) execute(j *Job) (res *JobResult, trace []byte, err error)
 	}
 	run, err := co.cl.StartRun(filaments.UDPRunConfig{
 		Protocol:  proto,
-		Stealing:  spec.Stealing || spec.App == "quadrature",
-		WakeFront: spec.App == "quadrature",
+		Stealing:  spec.Stealing || app.Stealing,
+		WakeFront: app.WakeFront,
 		Tracer:    tracer,
 	})
 	if err != nil {
@@ -315,60 +312,19 @@ func (co *Coordinator) execute(j *Job) (res *JobResult, trace []byte, err error)
 	j.lane = run.Lane()
 	j.mu.Unlock()
 
-	var (
-		rep    *filaments.UDPReport
-		ok     bool
-		output string
-	)
-	switch spec.App {
-	case "jacobi":
-		// Resolve sizes here so the parallel run and the reference agree
-		// on the problem even when the spec relies on defaults.
-		n, iters := spec.N, spec.Iters
-		if n == 0 {
-			n = 256
-		}
-		if iters == 0 {
-			iters = 360
-		}
-		r, grid, rerr := jacobi.DFOn(jacobi.Config{N: n, Iters: iters, Protocol: proto}, run)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		rep = r
-		ok = matrixEqual(grid, jacobi.Reference(n, iters))
-		output = verdict(ok, fmt.Sprintf("jacobi n=%d iters=%d (%d cells)", n, iters, n*n))
-	case "matmul":
-		n := spec.N
-		if n == 0 {
-			n = 128
-		}
-		r, cm, rerr := matmul.DFOn(matmul.Config{N: n, Protocol: proto}, run)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		rep = r
-		ok = matrixEqual(cm, matmul.Reference(n))
-		output = verdict(ok, fmt.Sprintf("matmul n=%d (%d cells)", n, n*n))
-	case "quadrature":
-		// N caps the recursion depth for quadrature (its only size knob).
-		cfg := quadrature.Config{MaxDepth: spec.N}
-		if cfg.MaxDepth == 0 {
-			cfg.MaxDepth = 8
-		}
-		r, got, rerr := quadrature.DFOn(cfg, run)
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		rep = r
-		cfg.Nodes = run.Nodes()
-		want, _ := quadrature.Reference(cfg)
-		// Stealing makes the summation order nondeterministic: compare
-		// within rounding, not bitwise.
-		ok = math.Abs(got-want) <= 1e-9*math.Abs(want)
-		output = verdict(ok, fmt.Sprintf("quadrature depth<=%d area=%.12f (ref %.12f)", cfg.MaxDepth, got, want))
-	default:
-		return nil, nil, fmt.Errorf("unknown app %q", spec.App)
+	// The same Params feed the parallel run and the reference, so they
+	// agree on the problem even when the spec relies on defaults.
+	params := apps.Params{N: spec.N, Iters: spec.Iters}
+	prog, result := app.Setup(run, params)
+	rep, err := run.Run(prog)
+	if err != nil {
+		return nil, nil, err
+	}
+	want := app.Reference(params)
+	bad := app.Mismatches(result.Collect(run.PeekF64), want)
+	output := fmt.Sprintf("RESULT OK %s n=%d iters=%d (%d words)", app.Name, spec.N, spec.Iters, len(want))
+	if bad != 0 {
+		output = fmt.Sprintf("RESULT MISMATCH %d of %d words, %s n=%d iters=%d", bad, len(want), app.Name, spec.N, spec.Iters)
 	}
 
 	if tracer != nil {
@@ -378,36 +334,12 @@ func (co *Coordinator) execute(j *Job) (res *JobResult, trace []byte, err error)
 		}
 	}
 	res = &JobResult{
-		OK:        ok,
+		OK:        bad == 0,
 		Output:    output,
 		ElapsedMS: float64(rep.Elapsed) / float64(time.Millisecond),
 		Metrics:   rep.Metrics,
 	}
 	return res, trace, nil
-}
-
-func verdict(ok bool, detail string) string {
-	if ok {
-		return "RESULT OK " + detail
-	}
-	return "RESULT MISMATCH " + detail
-}
-
-func matrixEqual(got, want [][]float64) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if len(got[i]) != len(want[i]) {
-			return false
-		}
-		for k := range got[i] {
-			if got[i][k] != want[i][k] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Close shuts the coordinator down in order: stop accepting jobs, drain

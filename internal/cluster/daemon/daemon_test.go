@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,11 +161,45 @@ func TestCoordinatorRunsConcurrentJobs(t *testing.T) {
 	}
 }
 
+// TestEveryTableAppRunsAsAJob: the daemon looks jobs up in internal/apps'
+// table, so every shipped application — including the ones that ran only
+// in the simulation before — reaches done, verified against its
+// reference, over the live endpoints.
+func TestEveryTableAppRunsAsAJob(t *testing.T) {
+	co := startCoordinator(t, Config{Nodes: 2, MaxConcurrent: 2})
+	for _, spec := range []JobSpec{
+		{App: "mergesort", N: 4096},
+		{App: "fft", N: 2048},
+		{App: "exprtree", N: 8},
+		{App: "matmul", N: 32, Protocol: "lrc"},
+		{App: "quadrature", N: 8},
+	} {
+		j, err := co.Submit(spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(120 * time.Second):
+			t.Fatalf("%s (%s) never finished", j.ID, spec.App)
+		}
+		if res := j.Result(); j.State() != JobDone || res == nil || !res.OK {
+			t.Errorf("%s (%s): state %v error %q result %+v", j.ID, spec.App, j.State(), j.Err(), res)
+		}
+	}
+	if err := co.Close(); err != nil {
+		t.Fatalf("clean shutdown failed: %v", err)
+	}
+}
+
 // TestSubmitValidation exercises the scheduler-side rejections.
 func TestSubmitValidation(t *testing.T) {
 	co := startCoordinator(t, Config{Nodes: 1})
-	if _, err := co.Submit(JobSpec{App: "fizzbuzz"}); err == nil {
-		t.Fatal("unknown app accepted")
+	if _, err := co.Submit(JobSpec{App: "fizzbuzz"}); err == nil || !strings.Contains(err.Error(), "mergesort") {
+		t.Fatalf("unknown app: error %v does not list the table's names", err)
+	}
+	if _, err := co.Submit(JobSpec{App: "racer"}); err == nil {
+		t.Fatal("a seeded-bug program was accepted as a job")
 	}
 	if _, err := co.Submit(JobSpec{App: "jacobi", Protocol: "telepathy"}); err == nil {
 		t.Fatal("unknown protocol accepted")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"filaments"
+	"filaments/internal/apps"
 	"filaments/internal/obs"
 )
 
@@ -26,14 +27,15 @@ const (
 // JobSpec is what a client submits: which app to run and its problem
 // shape. Cluster size and page diffs are daemon-wide and not per job.
 type JobSpec struct {
-	// App is the program to run: jacobi, matmul, or quadrature.
+	// App is the program to run: any name in internal/apps' table.
 	App string `json:"app"`
-	// N is the problem size (grid/matrix dimension); app default if 0.
+	// N is the problem size (grid/matrix/array dimension; quadrature's
+	// recursion depth cap); app default if 0.
 	N int `json:"n,omitempty"`
 	// Iters is the iteration count (jacobi); app default if 0.
 	Iters int `json:"iters,omitempty"`
-	// Protocol selects the DSM protocol: migratory, write-invalidate,
-	// implicit-invalidate, lazy-release; app default if empty.
+	// Protocol selects the DSM protocol by any name dsm.ParseProtocol
+	// accepts; app default if empty.
 	Protocol string `json:"protocol,omitempty"`
 	// Stealing enables fork/join load balancing (quadrature defaults on).
 	Stealing bool `json:"stealing,omitempty"`
@@ -42,42 +44,20 @@ type JobSpec struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// protocol resolves the spec's protocol string against the app's
-// default (the same defaulting DFUDP applies).
-func (s JobSpec) protocol() (filaments.Protocol, error) {
-	switch s.Protocol {
-	case "":
-		switch s.App {
-		case "quadrature":
-			return filaments.Migratory, nil
-		case "matmul":
-			return filaments.WriteInvalidate, nil
-		default:
-			return filaments.ImplicitInvalidate, nil
-		}
-	case "migratory":
-		return filaments.Migratory, nil
-	case "write-invalidate":
-		return filaments.WriteInvalidate, nil
-	case "implicit-invalidate":
-		return filaments.ImplicitInvalidate, nil
-	case "lazy-release":
-		return filaments.LazyRelease, nil
-	default:
-		return 0, fmt.Errorf("unknown protocol %q (migratory | write-invalidate | implicit-invalidate | lazy-release)", s.Protocol)
+// resolve looks the spec's app up in the table and its protocol string
+// up against the app's default.
+func (s JobSpec) resolve() (*apps.App, filaments.Protocol, error) {
+	app, ok := apps.ByName(s.App)
+	if !ok || app.Reference == nil {
+		return nil, 0, fmt.Errorf("unknown app %q (%s)", s.App, apps.Names())
 	}
+	proto, err := app.ProtocolNamed(s.Protocol)
+	return app, proto, err
 }
 
 // validate rejects specs the scheduler could not run.
 func (s JobSpec) validate() error {
-	switch s.App {
-	case "jacobi", "matmul", "quadrature":
-	case "":
-		return fmt.Errorf("missing app (jacobi | matmul | quadrature)")
-	default:
-		return fmt.Errorf("unknown app %q (jacobi | matmul | quadrature)", s.App)
-	}
-	if _, err := s.protocol(); err != nil {
+	if _, _, err := s.resolve(); err != nil {
 		return err
 	}
 	if s.N < 0 || s.Iters < 0 {
@@ -88,9 +68,9 @@ func (s JobSpec) validate() error {
 
 // JobResult is the completed job's outcome.
 type JobResult struct {
-	// OK reports result verification: bitwise equality against the
-	// sequential reference for jacobi/matmul, tolerance comparison for
-	// quadrature.
+	// OK reports result verification against the sequential reference:
+	// bitwise equality, or the app's tolerance where the table gives one
+	// (quadrature).
 	OK bool `json:"ok"`
 	// Output is a one-line human-readable result summary.
 	Output string `json:"output"`

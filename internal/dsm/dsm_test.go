@@ -480,7 +480,8 @@ func TestQuiesce(t *testing.T) {
 func TestMatrixStriping(t *testing.T) {
 	s := NewSpace(1 << 24)
 	const rows, cols, nodes = 256, 256, 8
-	m := AllocMatrixStriped(s, rows, cols, nodes)
+	m := Matrix{Rows: rows, Cols: cols}
+	m.Base = s.Alloc(m.Bytes(), StripedRows(rows, cols, nodes))
 	for k := 0; k < nodes; k++ {
 		lo, hi := StripBounds(k, rows, nodes)
 		if StripOf(lo, rows, nodes) != k || StripOf(hi-1, rows, nodes) != k {

@@ -17,21 +17,14 @@ type Matrix struct {
 // Bytes returns the matrix's size in bytes.
 func (m Matrix) Bytes() int64 { return int64(m.Rows) * int64(m.Cols) * 8 }
 
-// AllocMatrix allocates a rows×cols matrix with the given placement.
-func AllocMatrix(s *Space, rows, cols int, opts AllocOpts) Matrix {
-	m := Matrix{Rows: rows, Cols: cols}
-	m.Base = s.Alloc(m.Bytes(), opts)
-	return m
-}
-
-// AllocMatrixStriped allocates a matrix whose pages are owned in horizontal
-// strips: node k of n owns the pages holding rows [k*rows/n, (k+1)*rows/n).
-// Rows that share a page go to the strip of the page's first row, like the
-// paper's per-node strip distribution of the Jacobi grids.
-func AllocMatrixStriped(s *Space, rows, cols, nodes int) Matrix {
+// StripedRows is the placement of a rows×cols matrix whose pages are owned
+// in horizontal strips: node k of n owns the pages holding rows
+// [k*rows/n, (k+1)*rows/n). Rows that share a page go to the strip of the
+// page's first row, like the paper's per-node strip distribution of the
+// Jacobi grids.
+func StripedRows(rows, cols, nodes int) AllocOpts {
 	rowBytes := int64(cols) * 8
-	m := Matrix{Rows: rows, Cols: cols}
-	m.Base = s.Alloc(m.Bytes(), AllocOpts{
+	return AllocOpts{
 		OwnerByPage: func(page int) kernel.NodeID {
 			row := int(int64(page) * PageSize / rowBytes)
 			if row >= rows {
@@ -39,8 +32,7 @@ func AllocMatrixStriped(s *Space, rows, cols, nodes int) Matrix {
 			}
 			return kernel.NodeID(StripOf(row, rows, nodes))
 		},
-	})
-	return m
+	}
 }
 
 // Addr returns the address of element (i, j).

@@ -63,6 +63,24 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
+// ParseProtocol maps a protocol's name — its String form or the short
+// spelling — to the Protocol. It is the only such mapping: every flag and
+// job spec goes through it, and "no protocol named" is the caller's case
+// to resolve (to an application's default) before calling.
+func ParseProtocol(name string) (Protocol, error) {
+	switch name {
+	case "migratory":
+		return Migratory, nil
+	case "wi", "write-invalidate":
+		return WriteInvalidate, nil
+	case "ii", "implicit-invalidate":
+		return ImplicitInvalidate, nil
+	case "lrc", "lazy-release":
+		return LazyRelease, nil
+	}
+	return 0, fmt.Errorf("unknown protocol %q (migratory | wi, write-invalidate | ii, implicit-invalidate | lrc, lazy-release)", name)
+}
+
 // Space is the cluster-wide description of the shared address space: the
 // allocator plus per-page initial ownership and grouping. It is created
 // once and shared (by reference) by every node's DSM. Allocation happens

@@ -6,12 +6,10 @@ import (
 	"sync"
 	"time"
 
-	"filaments/internal/cost"
 	"filaments/internal/dsm"
 	"filaments/internal/filament"
 	"filaments/internal/kernel"
 	"filaments/internal/obs"
-	"filaments/internal/reduce"
 	"filaments/internal/rtnode"
 	"filaments/internal/udptrans"
 )
@@ -79,7 +77,9 @@ type UDPConfig struct {
 }
 
 // UDPRunConfig describes one program run on a live UDPCluster. Zero
-// values take the same defaults as UDPConfig.
+// values take the same defaults as UDPConfig. It is also the per-run half
+// of Config, UDPConfig and UDPNodeConfig: every constructor lifts its
+// fields into one for the shared host (host.go).
 type UDPRunConfig struct {
 	// Protocol is the page consistency protocol (default Migratory).
 	Protocol Protocol
@@ -135,6 +135,13 @@ type UDPReport struct {
 // (StartRun per job, many runs concurrently, Close when the daemon
 // exits).
 type UDPCluster struct {
+	// The single-program form's default run, on lane 0: Alloc*, Peek*,
+	// Outstanding, Runtime, DSM and EnableTracing on the cluster are its
+	// methods, promoted. Set once by NewUDPCluster and never reassigned, so
+	// Metrics may read it from any goroutine; a service cluster simply
+	// never runs it (an idle kernel stack holds no goroutine or socket).
+	*UDPRun
+
 	cfg   UDPConfig
 	eps   []*udptrans.Endpoint
 	addrs []*net.UDPAddr
@@ -145,13 +152,6 @@ type UDPCluster struct {
 	freed    []uint16
 	active   []*UDPRun
 	closed   bool
-
-	// The single-program form's default run, built on first use so a
-	// service cluster (StartRun per job) never pays for it.
-	defOnce sync.Once
-	def     *UDPRun
-	defErr  error
-	ran     bool
 }
 
 // rtOptions gives the real-time binding's endpoints an effectively
@@ -186,36 +186,20 @@ func NewUDPCluster(cfg UDPConfig) (*UDPCluster, error) {
 		c.addrs[i] = ep.Addr()
 		c.muxes[i] = rtnode.NewEventMux(ep)
 	}
+	// A fresh cluster always has a lane free, so this cannot fail.
+	c.UDPRun, _ = c.StartRun(UDPRunConfig{
+		Protocol:     cfg.Protocol,
+		SharedBytes:  cfg.SharedBytes,
+		Stealing:     cfg.Stealing,
+		MaxWorkers:   cfg.MaxWorkers,
+		WakeFront:    cfg.WakeFront,
+		Model:        cfg.Model,
+		Tracer:       cfg.Tracer,
+		Monitor:      cfg.Monitor,
+		MirageWindow: cfg.MirageWindow,
+	})
 	return c, nil
 }
-
-// defaultRun builds (once) and returns the default run the
-// single-program API delegates to, seeded from UDPConfig's per-run
-// fields. A fresh cluster always has a lane free, so failure here means
-// the cluster was already closed — a misuse, reported as a panic like
-// any other use-after-close.
-func (c *UDPCluster) defaultRun() *UDPRun {
-	c.defOnce.Do(func() {
-		c.def, c.defErr = c.StartRun(UDPRunConfig{
-			Protocol:     c.cfg.Protocol,
-			SharedBytes:  c.cfg.SharedBytes,
-			Stealing:     c.cfg.Stealing,
-			MaxWorkers:   c.cfg.MaxWorkers,
-			WakeFront:    c.cfg.WakeFront,
-			Model:        c.cfg.Model,
-			Tracer:       c.cfg.Tracer,
-			Monitor:      c.cfg.Monitor,
-			MirageWindow: c.cfg.MirageWindow,
-		})
-	})
-	if c.defErr != nil {
-		panic(fmt.Sprintf("filaments: default run on closed cluster: %v", c.defErr))
-	}
-	return c.def
-}
-
-// Nodes returns the cluster size.
-func (c *UDPCluster) Nodes() int { return c.cfg.Nodes }
 
 // Addrs returns every node's endpoint address, indexed by node ID.
 func (c *UDPCluster) Addrs() []*net.UDPAddr {
@@ -273,54 +257,23 @@ func (c *UDPCluster) netMetrics() []Sample {
 // live endpoints. Runs are independent and may execute concurrently;
 // each is used once: allocate, Run, Peek.
 func (c *UDPCluster) StartRun(rc UDPRunConfig) (*UDPRun, error) {
-	if rc.SharedBytes == 0 {
-		rc.SharedBytes = 64 << 20
-	}
-	if rc.MaxWorkers == 0 {
-		rc.MaxWorkers = 16
-	}
 	lane, err := c.acquireLane()
 	if err != nil {
 		return nil, err
 	}
 	r := &UDPRun{c: c, lane: lane}
-	if rc.Model != nil {
-		r.model = *rc.Model
-	} else {
-		r.model = cost.Default()
-	}
-	switch {
-	case rc.MirageWindow > 0:
-		r.model.MirageWindow = rc.MirageWindow
-	case rc.MirageWindow < 0:
-		r.model.MirageWindow = 0
-	}
-	r.space = dsm.NewSpace(rc.SharedBytes)
-	if rc.Monitor != nil {
-		r.space.SetMonitor(rc.Monitor)
-	}
+	r.init(c.cfg.Nodes, rc)
 	r.netBase = c.netMetrics()
 	// Same construction order as the simulated Cluster: every DSM exists
 	// before the first allocation.
 	for i := 0; i < c.cfg.Nodes; i++ {
 		node := rtnode.NewNode(kernel.NodeID(i), &r.model)
-		if rc.Tracer != nil {
-			node.Obs().SetTracer(rc.Tracer)
-		}
 		tr := rtnode.NewTransportOn(c.muxes[i], node, lane)
 		tr.SetPeers(c.addrs)
-		d := dsm.New(node, tr, r.space, rc.Protocol)
+		d, _ := r.addNode(node, tr)
 		d.SetDiffs(!c.cfg.NoDiffs)
-		d.WakeFront = rc.WakeFront
-		red := reduce.New(node, tr, d, c.cfg.Nodes)
-		rt := filament.New(node, tr, d, red, c.cfg.Nodes)
-		rt.Stealing = rc.Stealing
-		rt.MaxWorkers = rc.MaxWorkers
-		r.nodes = append(r.nodes, node)
+		r.mon = append(r.mon, node)
 		r.trs = append(r.trs, tr)
-		r.dsms = append(r.dsms, d)
-		r.reds = append(r.reds, red)
-		r.rts = append(r.rts, rt)
 	}
 	c.mu.Lock()
 	c.active = append(c.active, r)
@@ -340,19 +293,13 @@ func (c *UDPCluster) Metrics() []Sample {
 	for _, ep := range c.eps {
 		regs = append(regs, ep.Metrics())
 	}
+	// The default run leaves active when it finishes, but the
+	// single-program form reads Metrics after Run: its node counters are
+	// always included, once.
+	regs = append(regs, c.UDPRun.registries()...)
 	for _, r := range runs {
-		for _, n := range r.nodes {
-			regs = append(regs, n.Obs().Reg)
-		}
-	}
-	if c.def != nil {
-		// The default run leaves active when it finishes, but the
-		// single-program form reads Metrics after Run; keep its node
-		// counters visible.
-		if done := c.def.finished(); done {
-			for _, n := range c.def.nodes {
-				regs = append(regs, n.Obs().Reg)
-			}
+		if r != c.UDPRun {
+			regs = append(regs, r.registries()...)
 		}
 	}
 	return obs.Aggregate(regs...)
@@ -378,153 +325,42 @@ func (c *UDPCluster) Close() error {
 	return first
 }
 
-// The single-program face: every method delegates to the default run,
-// preserving the original one-cluster-one-run API.
-
-// Runtime returns node i's runtime (for inspecting stats after Run).
-func (c *UDPCluster) Runtime(i int) *Runtime { return c.defaultRun().Runtime(i) }
-
-// Outstanding sums the requests still awaiting replies across every
-// node's endpoint. After Run returns it must be zero: a nonzero value
-// means a protocol layer leaked an in-flight request past its barrier.
-func (c *UDPCluster) Outstanding() int { return c.defaultRun().Outstanding() }
-
-// DSM returns node i's DSM instance (for inspecting stats after Run).
-func (c *UDPCluster) DSM(i int) *dsm.DSM { return c.defaultRun().DSM(i) }
-
-// EnableTracing installs t as every node's trace sink. Equivalent to
-// setting UDPConfig.Tracer before NewUDPCluster.
-func (c *UDPCluster) EnableTracing(t *Tracer) { c.defaultRun().EnableTracing(t) }
-
-// Alloc reserves shared memory owned initially by node 0.
-func (c *UDPCluster) Alloc(size int64) Addr { return c.defaultRun().Alloc(size) }
-
-// AllocOwned reserves shared memory owned initially by the given node.
-func (c *UDPCluster) AllocOwned(size int64, owner int) Addr {
-	return c.defaultRun().AllocOwned(size, owner)
-}
-
-// AllocMatrixOwned allocates a shared matrix initially owned by one node.
-func (c *UDPCluster) AllocMatrixOwned(rows, cols, owner int) Matrix {
-	return c.defaultRun().AllocMatrixOwned(rows, cols, owner)
-}
-
-// AllocMatrixStriped allocates a matrix owned in one horizontal strip per
-// node.
-func (c *UDPCluster) AllocMatrixStriped(rows, cols int) Matrix {
-	return c.defaultRun().AllocMatrixStriped(rows, cols)
-}
-
 // Run executes program on the default run and closes the cluster — the
-// single-program form. It may be called once per UDPCluster.
+// single-program form. It may be called once per UDPCluster (the default
+// run refuses a second).
 func (c *UDPCluster) Run(program Program) (*UDPReport, error) {
-	if c.ran {
-		return nil, fmt.Errorf("filaments: UDP cluster already ran")
-	}
-	c.ran = true
-	rep, err := c.defaultRun().Run(program)
+	rep, err := c.UDPRun.Run(program)
 	if cerr := c.Close(); err == nil && cerr != nil {
 		err = cerr
 	}
 	return rep, err
 }
 
-// PeekF64 reads a shared float64 from whichever node owns it, for result
-// verification after Run.
-func (c *UDPCluster) PeekF64(a Addr) float64 { return c.defaultRun().PeekF64(a) }
-
-// PeekMatrix copies a shared matrix out of the cluster after Run.
-func (c *UDPCluster) PeekMatrix(m Matrix) [][]float64 { return c.defaultRun().PeekMatrix(m) }
-
 // UDPRun is one program run on a live UDPCluster: a complete kernel
 // stack on its own service-id lane. Allocate shared data, call Run once,
 // then Peek the results; the lane and transports are reclaimed when Run
 // returns, the endpoints stay up for the next run.
 type UDPRun struct {
-	c     *UDPCluster
-	lane  uint16
-	model cost.Model
-	space *dsm.Space
-	nodes []*rtnode.Node
-	trs   []*rtnode.Transport
-	dsms  []*dsm.DSM
-	reds  []*reduce.Reducer
-	rts   []*filament.Runtime
+	host
+	c    *UDPCluster
+	lane uint16
+	trs  []*rtnode.Transport
 
 	netBase []Sample // endpoint counters at StartRun, for the run delta
 
-	mu   sync.Mutex
-	ran  bool
-	done bool
+	mu  sync.Mutex
+	ran bool
 }
 
 // Lane returns the run's service-id lane (diagnostics).
 func (r *UDPRun) Lane() int { return int(r.lane) }
-
-// Nodes returns the cluster size.
-func (r *UDPRun) Nodes() int { return r.c.cfg.Nodes }
-
-// Runtime returns node i's runtime (for inspecting stats after Run).
-func (r *UDPRun) Runtime(i int) *Runtime { return r.rts[i] }
-
-// DSM returns node i's DSM instance (for inspecting stats after Run).
-func (r *UDPRun) DSM(i int) *dsm.DSM { return r.dsms[i] }
-
-// EnableTracing installs t as every node's trace sink for this run.
-func (r *UDPRun) EnableTracing(t *Tracer) {
-	for _, n := range r.nodes {
-		n.Obs().SetTracer(t)
-	}
-}
-
-// Outstanding sums this run's requests still awaiting replies. After Run
-// returns it must be zero: a nonzero value means a protocol layer leaked
-// an in-flight request past its barrier.
-func (r *UDPRun) Outstanding() int {
-	n := 0
-	for _, rt := range r.rts {
-		n += rt.Endpoint().Outstanding()
-	}
-	return n
-}
-
-func (r *UDPRun) finished() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.done
-}
 
 // Metrics aggregates the run's node counters plus the endpoints'
 // counters as the delta since StartRun. Node counters are exactly this
 // run's; the endpoint delta also includes any overlapping run's wire
 // traffic (endpoints are shared — see DESIGN.md §6).
 func (r *UDPRun) Metrics() []Sample {
-	var regs []*obs.Registry
-	for _, n := range r.nodes {
-		regs = append(regs, n.Obs().Reg)
-	}
-	return obs.Merge(obs.Aggregate(regs...), obs.Delta(r.c.netMetrics(), r.netBase))
-}
-
-// Alloc reserves shared memory owned initially by node 0.
-func (r *UDPRun) Alloc(size int64) Addr {
-	return r.space.Alloc(size, dsm.AllocOpts{})
-}
-
-// AllocOwned reserves shared memory owned initially by the given node.
-func (r *UDPRun) AllocOwned(size int64, owner int) Addr {
-	return r.space.Alloc(size, dsm.AllocOpts{Owner: kernel.NodeID(owner)})
-}
-
-// AllocMatrixOwned allocates a shared matrix initially owned by one node.
-func (r *UDPRun) AllocMatrixOwned(rows, cols, owner int) Matrix {
-	return dsm.AllocMatrix(r.space, rows, cols, dsm.AllocOpts{Owner: kernel.NodeID(owner)})
-}
-
-// AllocMatrixStriped allocates a matrix owned in one horizontal strip per
-// node.
-func (r *UDPRun) AllocMatrixStriped(rows, cols int) Matrix {
-	return dsm.AllocMatrixStriped(r.space, rows, cols, r.c.cfg.Nodes)
+	return obs.Merge(obs.Aggregate(r.registries()...), obs.Delta(r.c.netMetrics(), r.netBase))
 }
 
 // Run executes program on every node and returns the run report. It may
@@ -544,15 +380,15 @@ func (r *UDPRun) Run(program Program) (*UDPReport, error) {
 	// a peer's page request can reach a node's handler goroutine before
 	// that node's own main has ever held the monitor. Passing through each
 	// monitor here orders the allocations before every later holder.
-	for _, n := range r.nodes {
+	for _, n := range r.mon {
 		n.WithLock(func() {})
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i := range r.nodes {
+	for i := range r.mon {
 		i := i
 		wg.Add(1)
-		r.nodes[i].Spawn("main", func(t kernel.Thread) {
+		r.mon[i].Spawn("main", func(t kernel.Thread) {
 			defer wg.Done()
 			e := r.rts[i].NewExec(t)
 			program(r.rts[i], e)
@@ -563,7 +399,7 @@ func (r *UDPRun) Run(program Program) (*UDPReport, error) {
 	// transport detaches, so any straggling retransmissions are still
 	// answered (from the reply caches) while it matters.
 	wg.Wait()
-	rep := &UDPReport{Elapsed: time.Since(start), PerNode: make([]UDPNodeReport, r.c.cfg.Nodes)}
+	rep := &UDPReport{Elapsed: time.Since(start), PerNode: make([]UDPNodeReport, r.size)}
 	for _, tr := range r.trs {
 		tr.Detach()
 	}
@@ -571,54 +407,24 @@ func (r *UDPRun) Run(program Program) (*UDPReport, error) {
 	// outstanding counts are settled; the invariant transconf enforces
 	// after every scenario must hold after every job too.
 	leaked := r.Outstanding()
-	for _, n := range r.nodes {
+	for _, n := range r.mon {
 		n.Close()
 		n.Wait()
 	}
 	for i := range rep.PerNode {
 		rep.PerNode[i] = UDPNodeReport{
-			CPU:       r.nodes[i].Account(),
+			CPU:       r.mon[i].Account(),
 			DSM:       r.dsms[i].Stats(),
 			Transport: r.trs[i].Endpoint().Stats(),
 			Runtime:   r.rts[i].Stats(),
 		}
 	}
 	rep.Metrics = r.Metrics()
-	r.mu.Lock()
-	r.done = true
-	r.mu.Unlock()
 	r.c.finishRun(r)
 	if leaked != 0 {
 		return rep, fmt.Errorf("filaments: %d requests still outstanding after run", leaked)
 	}
 	return rep, nil
-}
-
-// PeekF64 reads a shared float64 from whichever node owns it, for result
-// verification after Run.
-func (r *UDPRun) PeekF64(a Addr) float64 {
-	for i, d := range r.dsms {
-		var v float64
-		var ok bool
-		r.nodes[i].WithLock(func() { v, ok = d.Peek(a) })
-		if ok {
-			return v
-		}
-	}
-	panic(fmt.Sprintf("filaments: no owner holds address %d", a))
-}
-
-// PeekMatrix copies a shared matrix out of the cluster after Run.
-func (r *UDPRun) PeekMatrix(m Matrix) [][]float64 {
-	out := make([][]float64, m.Rows)
-	for i := range out {
-		row := make([]float64, m.Cols)
-		for j := range row {
-			row[j] = r.PeekF64(m.Addr(i, j))
-		}
-		out[i] = row
-	}
-	return out
 }
 
 // UDPNodeConfig describes one node of a multi-process UDP cluster. Every
@@ -658,17 +464,14 @@ type UDPNodeConfig struct {
 	NoDiffs bool
 }
 
-// UDPNode is one process's node in a multi-process cluster.
+// UDPNode is one process's node in a multi-process cluster. It hosts
+// exactly one node, so the host's per-node accessors take index 0, and
+// its allocations run under the node's monitor (see host.live).
 type UDPNode struct {
-	cfg   UDPNodeConfig
-	model cost.Model
-	space *dsm.Space
-	node  *rtnode.Node
-	tr    *rtnode.Transport
-	d     *dsm.DSM
-	red   *reduce.Reducer
-	rt    *filament.Runtime
-	ran   bool
+	host
+	cfg UDPNodeConfig
+	tr  *rtnode.Transport
+	ran bool
 
 	shutdown sync.Once
 }
@@ -681,20 +484,8 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 	if len(cfg.Peers) != cfg.Nodes {
 		return nil, fmt.Errorf("filaments: %d peer addresses for %d nodes", len(cfg.Peers), cfg.Nodes)
 	}
-	if cfg.SharedBytes == 0 {
-		cfg.SharedBytes = 64 << 20
-	}
-	if cfg.MaxWorkers == 0 {
-		cfg.MaxWorkers = 16
-	}
 	if cfg.Linger == 0 {
 		cfg.Linger = 500 * time.Millisecond
-	}
-	u := &UDPNode{cfg: cfg}
-	if cfg.Model != nil {
-		u.model = *cfg.Model
-	} else {
-		u.model = cost.Default()
 	}
 	addrs := make([]*net.UDPAddr, cfg.Nodes)
 	for i, s := range cfg.Peers {
@@ -708,22 +499,24 @@ func NewUDPNode(cfg UDPNodeConfig) (*UDPNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	u.space = dsm.NewSpace(cfg.SharedBytes)
-	u.node = rtnode.NewNode(kernel.NodeID(cfg.ID), &u.model)
-	u.tr = rtnode.NewTransport(u.node, ep)
+	u := &UDPNode{cfg: cfg}
+	u.live = true
+	u.init(cfg.Nodes, UDPRunConfig{
+		Protocol:    cfg.Protocol,
+		SharedBytes: cfg.SharedBytes,
+		Stealing:    cfg.Stealing,
+		MaxWorkers:  cfg.MaxWorkers,
+		WakeFront:   cfg.WakeFront,
+		Model:       cfg.Model,
+	})
+	node := rtnode.NewNode(kernel.NodeID(cfg.ID), &u.model)
+	u.tr = rtnode.NewTransport(node, ep)
 	u.tr.SetPeers(addrs)
-	u.d = dsm.New(u.node, u.tr, u.space, cfg.Protocol)
-	u.d.SetDiffs(!cfg.NoDiffs)
-	u.d.WakeFront = cfg.WakeFront
-	u.red = reduce.New(u.node, u.tr, u.d, cfg.Nodes)
-	u.rt = filament.New(u.node, u.tr, u.d, u.red, cfg.Nodes)
-	u.rt.Stealing = cfg.Stealing
-	u.rt.MaxWorkers = cfg.MaxWorkers
+	d, _ := u.addNode(node, u.tr)
+	d.SetDiffs(!cfg.NoDiffs)
+	u.mon = append(u.mon, node)
 	return u, nil
 }
-
-// Runtime returns the node's runtime.
-func (u *UDPNode) Runtime() *Runtime { return u.rt }
 
 // Endpoint returns the node's UDP endpoint. The service layer
 // (internal/cluster/daemon) sends its membership traffic — join,
@@ -731,36 +524,11 @@ func (u *UDPNode) Runtime() *Runtime { return u.rt }
 // one bound address for both roles.
 func (u *UDPNode) Endpoint() *udptrans.Endpoint { return u.tr.Endpoint() }
 
-// EnableTracing installs t as the node's trace sink (wall-time stamps).
-func (u *UDPNode) EnableTracing(t *Tracer) { u.node.Obs().SetTracer(t) }
-
 // Metrics aggregates this node's counter registry with its endpoint's.
 // Safe to call live from any goroutine (e.g. an HTTP metrics handler);
 // counters are race-free.
 func (u *UDPNode) Metrics() []Sample {
-	return obs.Aggregate(u.node.Obs().Reg, u.tr.Endpoint().Metrics())
-}
-
-// Alloc reserves shared memory owned initially by node 0. Every process
-// must perform identical allocations in identical order.
-func (u *UDPNode) Alloc(size int64) Addr { return u.AllocOwned(size, 0) }
-
-// AllocOwned reserves shared memory owned initially by the given node.
-// Allocation runs in node context: the endpoint has been live since
-// NewUDPNode, and a peer that started earlier may already be sending page
-// requests, so the block table must not grow outside the monitor its
-// handlers read it under.
-func (u *UDPNode) AllocOwned(size int64, owner int) (a Addr) {
-	u.node.WithLock(func() { a = u.space.Alloc(size, dsm.AllocOpts{Owner: kernel.NodeID(owner)}) })
-	return a
-}
-
-// AllocMatrixOwned allocates a shared matrix initially owned by one node.
-func (u *UDPNode) AllocMatrixOwned(rows, cols, owner int) (m Matrix) {
-	u.node.WithLock(func() {
-		m = dsm.AllocMatrix(u.space, rows, cols, dsm.AllocOpts{Owner: kernel.NodeID(owner)})
-	})
-	return m
+	return obs.Aggregate(append(u.registries(), u.tr.Endpoint().Metrics())...)
 }
 
 // Close shuts the node down: the endpoint closes (failing any pending
@@ -770,8 +538,8 @@ func (u *UDPNode) AllocMatrixOwned(rows, cols, owner int) (m Matrix) {
 func (u *UDPNode) Close() {
 	u.shutdown.Do(func() {
 		u.tr.Close() //nolint:errcheck // best-effort shutdown
-		u.node.Close()
-		u.node.Wait()
+		u.mon[0].Close()
+		u.mon[0].Wait()
 	})
 }
 
@@ -783,10 +551,10 @@ func (u *UDPNode) Run(program Program) (*UDPNodeReport, error) {
 	}
 	u.ran = true
 	done := make(chan struct{})
-	u.node.Spawn("main", func(t kernel.Thread) {
+	u.mon[0].Spawn("main", func(t kernel.Thread) {
 		defer close(done)
-		e := u.rt.NewExec(t)
-		program(u.rt, e)
+		e := u.rts[0].NewExec(t)
+		program(u.rts[0], e)
 		e.Flush()
 	})
 	<-done
@@ -795,9 +563,9 @@ func (u *UDPNode) Run(program Program) (*UDPNodeReport, error) {
 		u.Close()
 	}
 	return &UDPNodeReport{
-		CPU:       u.node.Account(),
-		DSM:       u.d.Stats(),
+		CPU:       u.mon[0].Account(),
+		DSM:       u.dsms[0].Stats(),
 		Transport: u.tr.Endpoint().Stats(),
-		Runtime:   u.rt.Stats(),
+		Runtime:   u.rts[0].Stats(),
 	}, nil
 }

@@ -1,12 +1,11 @@
 package filaments_test
 
 import (
-	"math"
+	"sync"
 	"testing"
 
 	"filaments"
-	"filaments/internal/apps/jacobi"
-	"filaments/internal/apps/quadrature"
+	"filaments/internal/apps"
 )
 
 // TestUDPJacobiMatchesReference runs the DF Jacobi program on the
@@ -16,18 +15,10 @@ import (
 // over identical inputs in identical order, so every float64 is
 // bitwise-equal.
 func TestUDPJacobiMatchesReference(t *testing.T) {
-	const n, iters, nodes = 64, 8, 4
-	rep, grid, _, err := jacobi.DFUDP(jacobi.Config{N: n, Iters: iters, Nodes: nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := jacobi.Reference(n, iters)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if grid[i][j] != want[i][j] {
-				t.Fatalf("grid[%d][%d] = %v, want %v", i, j, grid[i][j], want[i][j])
-			}
-		}
+	app, p := table(t, "jacobi"), apps.Params{N: 64, Iters: 8}
+	rep, grid, _ := udpDF(t, app, 4, "", nil, p)
+	if bad := app.Mismatches(grid, app.Reference(p)); bad != 0 {
+		t.Fatalf("%d grid words differ from the reference (bitwise)", bad)
 	}
 	if rep.Elapsed <= 0 {
 		t.Fatal("report has no elapsed time")
@@ -46,14 +37,10 @@ func TestUDPJacobiMatchesReference(t *testing.T) {
 // summation order nondeterministic, so the area is compared to the
 // sequential reference within a rounding tolerance rather than exactly.
 func TestUDPQuadratureMatchesReference(t *testing.T) {
-	cfg := quadrature.Config{Nodes: 4, MaxDepth: 8}
-	rep, got, err := quadrature.DFUDP(cfg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := quadrature.Reference(cfg)
-	if math.Abs(got-want) > 1e-9*math.Abs(want) {
-		t.Fatalf("area = %v, want %v (diff %v)", got, want, got-want)
+	app, p := table(t, "quadrature"), apps.Params{N: 8} // depth capped at 8
+	rep, got, _ := udpDF(t, app, 4, "", nil, p)
+	if want := app.Reference(p); app.Mismatches(got, want) != 0 {
+		t.Fatalf("area = %v, want %v", got, want)
 	}
 	if rep.Elapsed <= 0 {
 		t.Fatal("report has no elapsed time")
@@ -139,5 +126,46 @@ func TestUDPClusterBarrierAndDSM(t *testing.T) {
 	}
 	if got != 42 {
 		t.Fatalf("node 1 read %v, want 42", got)
+	}
+}
+
+// TestUDPClusterMetricsDuringFirstUse is for the race detector: Metrics is
+// documented safe from any goroutine at any time, including while another
+// goroutine makes the single-program form's first calls. The default run
+// those calls reach used to be built lazily, its pointer written under a
+// sync.Once that Metrics read around.
+func TestUDPClusterMetricsDuringFirstUse(t *testing.T) {
+	cl, err := filaments.NewUDPCluster(filaments.UDPConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				cl.Metrics()
+			}
+		}
+	}()
+	a := cl.AllocOwned(8, 0)
+	_, err = cl.Run(func(rt *filaments.Runtime, e *filaments.Exec) {
+		if rt.ID() == 1 {
+			e.WriteF64(a, 1)
+		}
+		e.Barrier()
+	})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.Metrics()) == 0 {
+		t.Fatal("no metrics after the run")
 	}
 }

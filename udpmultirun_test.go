@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"filaments"
-	"filaments/internal/apps/jacobi"
+	"filaments/internal/apps"
 )
 
 // These tests exercise the cluster's run-many lifecycle directly: one
@@ -28,21 +28,19 @@ func startCluster(t *testing.T, nodes int) *filaments.UDPCluster {
 // bitwise against the reference. Errors are returned, not fataled, so
 // it is callable from concurrent goroutines.
 func runJacobi(cl *filaments.UDPCluster, n, iters int) (*filaments.UDPRun, error) {
-	run, err := cl.StartRun(filaments.UDPRunConfig{Protocol: filaments.ImplicitInvalidate})
+	app, _ := apps.ByName("jacobi")
+	run, err := cl.StartRun(filaments.UDPRunConfig{Protocol: app.Protocol})
 	if err != nil {
 		return nil, err
 	}
-	rep, grid, err := jacobi.DFOn(jacobi.Config{N: n, Iters: iters}, run)
+	p := apps.Params{N: n, Iters: iters}
+	prog, res := app.Setup(run, p)
+	rep, err := run.Run(prog)
 	if err != nil {
 		return nil, err
 	}
-	want := jacobi.Reference(n, iters)
-	for i := range want {
-		for j := range want[i] {
-			if grid[i][j] != want[i][j] {
-				return nil, fmt.Errorf("grid[%d][%d] = %v, want %v", i, j, grid[i][j], want[i][j])
-			}
-		}
+	if bad := app.Mismatches(res.Collect(run.PeekF64), app.Reference(p)); bad != 0 {
+		return nil, fmt.Errorf("%d grid words differ from the reference (bitwise)", bad)
 	}
 	if out := run.Outstanding(); out != 0 {
 		return nil, fmt.Errorf("%d requests outstanding after run", out)
