@@ -22,12 +22,14 @@ import (
 // diffWord is the comparison granularity.
 const diffWord = 8
 
-// diffEncode computes the diff from base to cur (equal lengths). It gives
-// up and reports ok=false as soon as the diff exceeds limit bytes —
-// past that point shipping the full page is cheaper than shipping the
-// diff plus applying it.
-func diffEncode(base, cur []byte, limit int) (diff []byte, ok bool) {
-	var out []byte
+// diffEncode appends the diff from base to cur (equal lengths) to out,
+// which must be empty, and returns the extended buffer. It gives up and
+// reports ok=false as soon as the diff exceeds limit bytes — past that
+// point shipping the full page is cheaper than shipping the diff plus
+// applying it. The buffer comes back either way, for the next call.
+//
+//dflint:hotpath
+func diffEncode(out, base, cur []byte, limit int) (diff []byte, ok bool) {
 	i, n := 0, len(cur)
 	for i < n {
 		skipStart := i
@@ -54,7 +56,7 @@ func diffEncode(base, cur []byte, limit int) (diff []byte, ok bool) {
 		out = binary.AppendUvarint(out, uint64(i-runStart))
 		out = append(out, cur[runStart:i]...)
 		if len(out) > limit {
-			return nil, false
+			return out, false
 		}
 	}
 	return out, true

@@ -40,7 +40,7 @@ func TestDiffRoundTrip(t *testing.T) {
 			}
 
 			// Generous limit (size + entry-header headroom): always encodable.
-			diff, ok := diffEncode(base, cur, size+64)
+			diff, ok := diffEncode(nil, base, cur, size+64)
 			if !ok {
 				t.Fatalf("size %d trial %d: diffEncode gave up under a generous limit", size, trial)
 			}
@@ -67,13 +67,13 @@ func TestDiffLimitFallback(t *testing.T) {
 	for i := range cur {
 		cur[i] = byte(i + 1) // every word differs
 	}
-	if _, ok := diffEncode(base, cur, len(cur)/2); ok {
+	if _, ok := diffEncode(nil, base, cur, len(cur)/2); ok {
 		t.Fatal("whole-page rewrite fit under a half-page limit")
 	}
 	// And a small change must come in far under it.
 	cur2 := append([]byte(nil), base...)
 	cur2[100] = 0xff
-	diff, ok := diffEncode(base, cur2, len(cur2)/2)
+	diff, ok := diffEncode(nil, base, cur2, len(cur2)/2)
 	if !ok {
 		t.Fatal("single-byte change did not fit under a half-page limit")
 	}

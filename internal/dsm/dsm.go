@@ -60,6 +60,15 @@ type pageData struct {
 	Diff bool
 }
 
+// Snapshot detaches Data from the server's frame or diff scratch for the
+// simulation, which delivers replies by reference (kernel.Snapshotter).
+func (m pageData) Snapshot() any {
+	if len(m.Data) > 0 {
+		m.Data = append([]byte(nil), m.Data...)
+	}
+	return m
+}
+
 type redirect struct {
 	Block int32
 	Owner kernel.NodeID
@@ -189,6 +198,15 @@ type DSM struct {
 
 	outstanding int // fetches + invalidation rounds in flight
 	quiescers   []kernel.Thread
+
+	// free recycles block buffers (getBuf); parted is the one a reply in
+	// hand may still alias; diffBuf is the scratch of the last served diff.
+	//dflint:frame
+	free [][][]byte
+	//dflint:frame
+	parted []byte
+	//dflint:frame
+	diffBuf []byte
 
 	obs *obs.Obs
 	ctr counters
@@ -409,7 +427,8 @@ func (d *DSM) snapshot(st *blockState) {
 		return
 	}
 	if len(st.shadow) != len(st.frame) {
-		st.shadow = make([]byte, len(st.frame))
+		d.putBuf(st.shadow)
+		st.shadow = d.getBuf(len(st.frame))
 	}
 	copy(st.shadow, st.frame)
 	st.shadowVer = st.ver
@@ -552,6 +571,7 @@ func (d *DSM) install(b int, write bool, from kernel.NodeID, m pageData) {
 		if len(st.shadow) != d.space.blockSize(b) {
 			panic(fmt.Sprintf("dsm: node %d got a diff for block %d without a base", d.node.ID(), b))
 		}
+		d.putBuf(st.frame)
 		st.frame = st.shadow
 		st.shadow = nil
 		if !diffApply(st.frame, m.Data) {
@@ -559,7 +579,7 @@ func (d *DSM) install(b int, write bool, from kernel.NodeID, m pageData) {
 		}
 	} else {
 		if st.frame == nil {
-			st.frame = make([]byte, d.space.blockSize(b))
+			st.frame = d.getBuf(d.space.blockSize(b))
 		}
 		if m.Data != nil {
 			copy(st.frame, m.Data)
@@ -691,7 +711,8 @@ func (d *DSM) servePage(from kernel.NodeID, req any) (any, int, kernel.Verdict) 
 	}
 	d.node.Charge(kernel.CatData, model.PageServe)
 	if st.frame == nil {
-		st.frame = make([]byte, d.space.blockSize(b))
+		st.frame = d.getBuf(d.space.blockSize(b))
+		clear(st.frame) // a recycled buffer is not zero
 	}
 	var data []byte
 	isDiff := false
@@ -703,8 +724,9 @@ func (d *DSM) servePage(from kernel.NodeID, req any) (any, int, kernel.Verdict) 
 			// version; an empty diff transfers only the grant.
 			isDiff = true
 		case d.diffs && m.HaveVer >= 0 && st.shadow != nil && m.HaveVer == st.shadowVer:
-			if dd, ok := diffEncode(st.shadow, st.frame, len(st.frame)/2); ok {
-				data = dd
+			var ok bool
+			if d.diffBuf, ok = diffEncode(d.diffBuf[:0], st.shadow, st.frame, len(st.frame)/2); ok {
+				data = d.diffBuf
 				isDiff = true
 			}
 			// A diff above half the frame ships the full page instead:
@@ -715,8 +737,9 @@ func (d *DSM) servePage(from kernel.NodeID, req any) (any, int, kernel.Verdict) 
 			d.ctr.diffsSent.Inc()
 			d.ctr.diffBytes.Add(int64(len(data)))
 		} else {
-			data = make([]byte, len(st.frame))
-			copy(data, st.frame)
+			// No copy: the transport serialises or snapshots the reply
+			// before this node context ends (kernel.Service).
+			data = st.frame
 			d.ctr.fullPages.Inc()
 		}
 		size = len(data) + reqSize
@@ -739,15 +762,11 @@ func (d *DSM) servePage(from kernel.NodeID, req any) (any, int, kernel.Verdict) 
 		st.owner = false
 		st.access = accNone
 		st.probOwner = from
-		if d.diffs {
-			// Retain the departing frame as a stale diff base — the next
-			// fetch advertises it, and the buffer is patched in place if
-			// the reply is a diff.
-			st.shadow = st.frame
-			st.shadowVer = st.ver
-		}
+		// The departing frame stays as a stale diff base — the next fetch
+		// advertises it and a diff reply patches it in place — or, with
+		// diffs off, is recycled once the reply aliasing it has left.
+		d.dropFrame(st, true)
 		st.snap = false
-		st.frame = nil
 		return reply, size, kernel.Reply
 	}
 	// Non-owning copy: the strategy decides what the serve does to our
@@ -773,15 +792,74 @@ func (d *DSM) serveInval(from kernel.NodeID, req any) (any, int, kernel.Verdict)
 	d.ctr.invalsRecved.Inc()
 	if !st.owner && st.access == accRO {
 		st.access = accNone
-		if d.diffs {
-			// Retain the invalidated copy as a stale diff base for the
-			// next fetch of this block.
-			st.shadow = st.frame
-			st.shadowVer = st.ver
-		}
-		st.frame = nil
+		d.dropFrame(st, false)
 	}
 	return nil, 8, kernel.Reply
+}
+
+// --- Block buffers. ---
+//
+// Every page-sized buffer a DSM uses in steady state — frame, shadow,
+// twin, flush diff — comes from the node's free list and goes back where
+// its block lets go of it. Node context only, so no lock. free[k] holds
+// buffers of at least k pages.
+
+// freedHook, when set by a test, sees every buffer entering a free list.
+var freedHook func(b []byte)
+
+// getBuf returns n bytes (a whole number of pages) of arbitrary content.
+func (d *DSM) getBuf(n int) []byte {
+	if b := d.popBuf(n); b != nil {
+		return b
+	}
+	return make([]byte, n)
+}
+
+//dflint:hotpath
+func (d *DSM) popBuf(n int) []byte {
+	d.putBuf(d.parted)
+	d.parted = nil
+	if k := n >> pageShift; k < len(d.free) {
+		if l := d.free[k]; len(l) > 0 {
+			d.free[k] = l[:len(l)-1]
+			return l[len(l)-1][:n]
+		}
+	}
+	return nil
+}
+
+// putBuf hands b back; nil and anything under a page are ignored.
+//
+//dflint:hotpath
+func (d *DSM) putBuf(b []byte) {
+	k := cap(b) >> pageShift
+	if k == 0 {
+		return
+	}
+	if freedHook != nil {
+		freedHook(b[:cap(b)])
+	}
+	for len(d.free) <= k {
+		d.free = append(d.free, nil)
+	}
+	d.free[k] = append(d.free[k], b)
+}
+
+// dropFrame takes st's frame away as access falls to none: with diffs on
+// it becomes the stale diff base for the block's next fetch, otherwise it
+// is recycled — one free-list operation later if a reply in hand aliases it.
+func (d *DSM) dropFrame(st *blockState, aliased bool) {
+	switch {
+	case d.diffs:
+		d.putBuf(st.shadow)
+		st.shadow, st.shadowVer = st.frame, st.ver
+	case aliased:
+		d.putBuf(d.parted)
+		d.parted = st.frame
+	default:
+		d.putBuf(st.frame)
+	}
+	st.frame = nil
 }
 
 // --- Synchronization hooks. ---

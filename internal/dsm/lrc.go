@@ -40,7 +40,7 @@ type lrcFlush struct {
 // content becomes the twin (the merge base the release flush diffs
 // against) and the block joins the interval's dirty list.
 func (d *DSM) lrcBeginWrite(b int, st *blockState) {
-	st.twin = make([]byte, len(st.frame))
+	st.twin = d.getBuf(len(st.frame))
 	copy(st.twin, st.frame)
 	d.ctr.twinBytes.Add(int64(len(st.twin)))
 	st.access = accRW
@@ -75,7 +75,9 @@ func (d *DSM) AtRelease() []int32 {
 			continue // home writes merge in place; notices still carry them
 		}
 		home := d.space.HomeOf(int(b))
-		diff, ok := diffEncode(st.twin, st.frame, 2*len(st.frame)+64)
+		// The diff lives in a block buffer until the home's ack: the
+		// simulated transport retransmits the request by reference.
+		diff, ok := diffEncode(d.getBuf(len(st.frame))[:0], st.twin, st.frame, 2*len(st.frame)+64)
 		if !ok {
 			panic(fmt.Sprintf("dsm: node %d could not encode the flush diff for block %d", me, b))
 		}
@@ -98,8 +100,9 @@ func (d *DSM) AtRelease() []int32 {
 		// version the home really published, so it stays valid.
 		st.access = accNone
 		st.snap = false
-		st.frame = nil
-		st.twin = nil
+		d.putBuf(st.frame)
+		d.putBuf(st.twin)
+		st.frame, st.twin = nil, nil
 	}
 	d.lrcDirty = d.lrcDirty[:0]
 	for _, home := range homes {
@@ -110,6 +113,9 @@ func (d *DSM) AtRelease() []int32 {
 		}
 		d.outstanding++
 		d.ep.RequestAsync(home, SvcFlush, *f, size, kernel.CatData, func(any) {
+			for _, diff := range f.Diffs {
+				d.putBuf(diff)
+			}
 			d.outstanding--
 			d.checkQuiescent()
 		})
@@ -170,16 +176,10 @@ func (d *DSM) AtAcquire(notices []int32) {
 			continue
 		}
 		if st.access != accNone {
+			// Exactly what an explicit invalidation does (serveInval).
 			st.access = accNone
-			if d.diffs {
-				// Retain the invalidated copy as a stale diff base for
-				// the next fetch, exactly as an explicit invalidation
-				// would (serveInval).
-				st.shadow = st.frame
-				st.shadowVer = st.ver
-			}
 			st.snap = false
-			st.frame = nil
+			d.dropFrame(st, false)
 		}
 	}
 }

@@ -31,11 +31,11 @@ func TestDisjointDiffsCommute(t *testing.T) {
 		}
 
 		limit := 2*PageSize + 64
-		diffA, ok := diffEncode(base, curA, limit)
+		diffA, ok := diffEncode(nil, base, curA, limit)
 		if !ok {
 			t.Fatalf("trial %d: writer A's diff exceeded the limit", trial)
 		}
-		diffB, ok := diffEncode(base, curB, limit)
+		diffB, ok := diffEncode(nil, base, curB, limit)
 		if !ok {
 			t.Fatalf("trial %d: writer B's diff exceeded the limit", trial)
 		}
@@ -81,8 +81,8 @@ func TestOverlappingDiffsLastMergeWins(t *testing.T) {
 		curB[i] = 0xBB
 	}
 	limit := 2*PageSize + 64
-	diffA, _ := diffEncode(base, curA, limit)
-	diffB, _ := diffEncode(base, curB, limit)
+	diffA, _ := diffEncode(nil, base, curA, limit)
+	diffB, _ := diffEncode(nil, base, curB, limit)
 
 	ab := append([]byte(nil), base...)
 	diffApply(ab, diffA)

@@ -126,16 +126,12 @@ func (implicitInvalidateStrategy) atBarrier(d *DSM) {
 	for _, b := range d.roCopies {
 		st := &d.blocks[b]
 		if !st.owner && st.access == accRO {
+			// With diffs on the discarded copy is the next fetch's diff
+			// base: under implicit-invalidate the same read-only pages
+			// are re-fetched every iteration, and the diff against last
+			// iteration's copy is exactly the owner's writes.
 			st.access = accNone
-			if d.diffs {
-				// Retain the discarded copy as a stale diff base: under
-				// implicit-invalidate the same read-only pages are
-				// re-fetched every iteration, and the diff against last
-				// iteration's copy is exactly the owner's writes.
-				st.shadow = st.frame
-				st.shadowVer = st.ver
-			}
-			st.frame = nil
+			d.dropFrame(st, false)
 		}
 	}
 	d.roCopies = d.roCopies[:0]

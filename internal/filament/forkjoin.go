@@ -72,7 +72,8 @@ type stealReply struct {
 
 type doneMsg struct{ Result float64 }
 
-// Join accumulates the results of forked children.
+// Join accumulates the results of forked children; rt is nil exactly while
+// the record sits in fjState.freeJoins.
 type Join struct {
 	rt     *Runtime
 	id     int64
@@ -109,6 +110,8 @@ type fjState struct {
 
 	joins  map[int64]*Join
 	nextID int64
+	// freeJoins holds the records Wait has retired, for NewJoin to reuse.
+	freeJoins []*Join
 
 	// joinWaiters are joins whose threads are blocked in Wait. Their Wait
 	// loops drain pending work, so when every worker is busy or blocked
@@ -243,11 +246,23 @@ func (rt *Runtime) callFJ(e *Exec, fnID int32, args Args) float64 {
 	return v
 }
 
-// NewJoin creates an empty join.
+const errJoinReused = "filament: Join used after Wait returned"
+
+// NewJoin creates an empty join. A Join is single-use: Fork into it, Wait
+// on it once, drop it — Wait hands the record to the next NewJoin, so a
+// Fork or Wait after that panics. Ids are never reused, so a duplicate
+// result for a retired join finds nothing.
 func (rt *Runtime) NewJoin() *Join {
-	rt.fj.nextID++
-	j := &Join{rt: rt, id: rt.fj.nextID}
-	rt.fj.joins[j.id] = j
+	fj := &rt.fj
+	fj.nextID++
+	var j *Join
+	if n := len(fj.freeJoins); n > 0 {
+		j, fj.freeJoins = fj.freeJoins[n-1], fj.freeJoins[:n-1]
+	} else {
+		j = new(Join)
+	}
+	j.rt, j.id = rt, fj.nextID
+	fj.joins[j.id] = j
 	return j
 }
 
@@ -258,6 +273,9 @@ func (rt *Runtime) NewJoin() *Join {
 // exists, and otherwise become local (stealable) filaments.
 func (rt *Runtime) Fork(e *Exec, j *Join, fnID int, args Args) {
 	fj := &rt.fj
+	if j.rt == nil {
+		panic(errJoinReused)
+	}
 	j.need++
 	tk := task{Fn: int32(fnID), Args: args, Origin: rt.node.ID(), JoinID: j.id}
 
@@ -294,6 +312,9 @@ func (rt *Runtime) Fork(e *Exec, j *Join, fnID int, args Args) {
 // filaments — the recursion's sibling work — rather than idling.
 func (j *Join) Wait(e *Exec) float64 {
 	rt := j.rt
+	if rt == nil {
+		panic(errJoinReused)
+	}
 	for j.have < j.need {
 		if tk, ok := rt.dequeueBack(); ok {
 			rt.execTask(e, tk)
@@ -316,10 +337,15 @@ func (j *Join) Wait(e *Exec) float64 {
 			}
 		}
 	}
+	// Zeroed, so Fork and Wait can tell a stale pointer from a live join.
 	delete(rt.fj.joins, j.id)
-	return j.sum
+	sum := j.sum
+	*j = Join{}
+	rt.fj.freeJoins = append(rt.fj.freeJoins, j)
+	return sum
 }
 
+//dflint:hotpath
 func (j *Join) deliver(v float64) {
 	j.have++
 	j.sum += v

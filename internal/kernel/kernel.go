@@ -121,6 +121,13 @@ type Service struct {
 	// node's scheduler or monitor) and must not block; long work belongs
 	// on a thread it wakes. The returned size is the reply's wire size in
 	// bytes.
+	//
+	// The reply may alias buffers the handler's layer goes on using (a DSM
+	// frame, a diff scratch buffer): it is only good until this node
+	// context ends, and the transport is done with it by then. The
+	// real-time binding serialises it under the node monitor; the
+	// simulation, which hands values over by reference and keeps them for
+	// replay, takes a Snapshot of a reply that offers one.
 	Handler func(from NodeID, req any) (reply any, size int, v Verdict)
 	// Idempotent handlers may safely re-execute for duplicate requests.
 	// Non-idempotent ones execute at most once per request; the transport
@@ -133,6 +140,13 @@ type Service struct {
 	ModifiesCritical bool
 	// Category is the accounting category charged for handling.
 	Category Category
+}
+
+// Snapshotter is what a reply that aliases its handler's buffers
+// implements for by-reference transports: Snapshot returns a copy that
+// shares no mutable bytes with the original.
+type Snapshotter interface {
+	Snapshot() any
 }
 
 // Thread is a kernel-schedulable thread on one node: a simulator proc

@@ -51,6 +51,10 @@ var allocStdlib = map[string]bool{
 	"strconv": true,
 }
 
+// allocFreeStdlib names their entry points that do not: reflect.TypeOf
+// only reads an interface's type word (the codec registry's key).
+var allocFreeStdlib = map[string]bool{"reflect.TypeOf": true}
+
 func runHotAlloc(pass *ProgramPass) {
 	cg := pass.Program.CallGraph()
 
@@ -160,7 +164,7 @@ func scanHotAllocs(pass *ProgramPass, node *FuncNode, root *types.Func) {
 			}
 			callee := StaticCallee(info, n)
 			if callee != nil {
-				if callee.Pkg() != nil && allocStdlib[callee.Pkg().Path()] {
+				if callee.Pkg() != nil && allocStdlib[callee.Pkg().Path()] && !allocFreeStdlib[callee.Pkg().Path()+"."+callee.Name()] {
 					report(n, callee.Pkg().Path()+"."+callee.Name()+" allocates")
 				}
 				// Boxing at the call boundary.

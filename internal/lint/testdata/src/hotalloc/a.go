@@ -2,7 +2,10 @@
 // everything they reach must not allocate.
 package hotalloc
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 type enc struct{ B []byte }
 
@@ -78,6 +81,14 @@ func toBytes(e *enc, s string) {
 //dflint:hotpath
 func format() string {
 	return fmt.Sprintf("x") // want "fmt.Sprintf allocates"
+}
+
+// reflect allocates, except TypeOf, which only reads the type word.
+//
+//dflint:hotpath
+func typeKey(v any) reflect.Type {
+	_ = reflect.ValueOf(v) // want "reflect.ValueOf allocates"
+	return reflect.TypeOf(v)
 }
 
 //dflint:hotpath

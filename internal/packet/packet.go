@@ -374,6 +374,10 @@ func (ep *Endpoint) handleRequest(from simnet.NodeID, m wireRequest) {
 		ep.ctr.dropped.Inc()
 		return
 	}
+	if s, ok := reply.(kernel.Snapshotter); ok {
+		// It travels and is cached by reference: detach it from live buffers.
+		reply = s.Snapshot()
+	}
 	wr := wireReply{Seq: m.Seq, Data: reply, Size: size}
 	if !svc.Idempotent {
 		ep.cacheReply(key, wr)

@@ -403,3 +403,49 @@ func TestReliabilityUnderLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// aliasing is a reply that points into a buffer its handler keeps writing,
+// as a DSM page reply points into the frame.
+type aliasing struct{ data []byte }
+
+func (a aliasing) Snapshot() any { return aliasing{data: append([]byte(nil), a.data...)} }
+
+// A reply travels, and sits in the reply cache, by reference; the endpoint
+// must detach one that offers a Snapshot from its handler's buffer before
+// that buffer moves on, for the first delivery and for a replay alike.
+func TestReplySnapshotTakenBeforeHandlerBufferMovesOn(t *testing.T) {
+	fx := newFixture(t, 2)
+	frame := []byte{1, 2, 3}
+	fx.eps[1].Register(svcCounter, Service{
+		Name: "page", Idempotent: false, Category: threads.CatData,
+		Handler: func(simnet.NodeID, any) (any, int, Verdict) {
+			// The node writes its frame again as soon as this context ends.
+			fx.nodes[1].Schedule(0, func() { frame[0] = 0xAA })
+			var reply any = aliasing{data: frame} // sim-only: never meets a codec
+			return reply, 16, Reply
+		},
+	})
+	dropped := false
+	fx.nw.DropFilter = func(f *simnet.Frame) bool {
+		if _, isReply := f.Payload.(wireReply); isReply && !dropped {
+			dropped = true // the first reply is lost; the cache answers the retry
+			return true
+		}
+		return false
+	}
+	var got any
+	fx.eng.Schedule(0, func() {
+		fx.nodes[0].Spawn("caller", func(th kernel.Thread) {
+			got = fx.eps[0].Call(th, 1, svcCounter, nil, 16, threads.CatData)
+			fx.nodes[0].Stop()
+			fx.nodes[1].Stop()
+		})
+	})
+	fx.run(t)
+	if r, ok := got.(aliasing); !ok || r.data[0] != 1 {
+		t.Fatalf("the requester saw %v; want the frame as it was when served", got)
+	}
+	if frame[0] != 0xAA || fx.eps[1].Stats().DupSuppressed != 1 {
+		t.Fatalf("frame[0]=%#x, %d replays: the scenario did not happen", frame[0], fx.eps[1].Stats().DupSuppressed)
+	}
+}

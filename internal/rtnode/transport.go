@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"filaments/internal/kernel"
@@ -34,8 +35,8 @@ type Transport struct {
 	// the receiving EventMux can route it (mux.go).
 	lanePrefix []byte
 
-	peers []*net.UDPAddr           // indexed by NodeID
-	ids   map[string]kernel.NodeID // reverse: observed source address → id
+	peers []*net.UDPAddr                   // indexed by NodeID
+	ids   map[netip.AddrPort]kernel.NodeID // reverse: observed source address → id
 	raw   []func(from kernel.NodeID, payload any) bool
 
 	svcs []uint16 // wire service ids registered on ep, for Detach
@@ -71,7 +72,7 @@ func NewTransportOn(mux *EventMux, node *Node, lane uint16) *Transport {
 		mux:        mux,
 		lane:       lane,
 		lanePrefix: binary.AppendUvarint(nil, uint64(lane)),
-		ids:        make(map[string]kernel.NodeID),
+		ids:        make(map[netip.AddrPort]kernel.NodeID),
 		malformed:  node.Obs().Counter("net.malformed"),
 	}
 	mux.attach(lane, tr)
@@ -102,7 +103,7 @@ func (tr *Transport) traceEventDrop() {
 func (tr *Transport) SetPeers(peers []*net.UDPAddr) {
 	tr.peers = peers
 	for i, p := range peers {
-		tr.ids[p.String()] = kernel.NodeID(i)
+		tr.ids[addrKey(p)] = kernel.NodeID(i)
 	}
 }
 
@@ -143,8 +144,15 @@ func (tr *Transport) wireSvc(id kernel.ServiceID) uint16 {
 	return uint16(id) + tr.lane*LaneStride
 }
 
+// addrKey is a's comparable form, unmapped so a peer looks the same
+// whichever socket family reported it.
+func addrKey(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
 func (tr *Transport) idOf(addr *net.UDPAddr) (kernel.NodeID, bool) {
-	id, ok := tr.ids[addr.String()]
+	id, ok := tr.ids[addrKey(addr)]
 	return id, ok
 }
 
@@ -158,68 +166,82 @@ var payloadPool = sync.Pool{
 	},
 }
 
-// encodePooled frames v behind prefix in a pooled buffer; the caller must
-// invoke release once the bytes are no longer referenced. The udptrans
-// send paths copy payloads into frames synchronously, so release follows
-// the send call.
-func encodePooled(prefix []byte, v any) (data []byte, release func()) {
+// encodePooled frames v behind prefix in a pooled buffer, which the caller
+// hands to releasePayload once the bytes are no longer referenced. The
+// udptrans send paths copy payloads into frames synchronously, so the
+// release follows the send call.
+func encodePooled(prefix []byte, v any) *[]byte {
 	bp := payloadPool.Get().(*[]byte)
 	*bp = AppendPayload(append((*bp)[:0], prefix...), v)
-	return *bp, func() {
-		*bp = (*bp)[:0]
-		payloadPool.Put(bp)
-	}
+	return bp
 }
 
-// marshal encodes a request payload. nil is an empty payload with
-// nothing to release (release is nil).
-func marshal(v any) (data []byte, release func()) {
+func releasePayload(bp *[]byte) {
+	*bp = (*bp)[:0]
+	payloadPool.Put(bp)
+}
+
+// marshal encodes a request payload into a pooled buffer. nil is an empty
+// payload with no buffer (bp is nil).
+func marshal(v any) (data []byte, bp *[]byte) {
 	if v == nil {
 		return nil, nil
 	}
-	return encodePooled(nil, v)
+	bp = encodePooled(nil, v)
+	return *bp, bp
 }
 
-// Register installs a kernel service on the UDP endpoint. The wrapped
-// handler decodes the payload, enters node context, charges receive and
+// binding is one kernel service as the UDP endpoint calls it.
+type binding struct {
+	tr *Transport
+	s  kernel.Service
+}
+
+// Register installs a kernel service on the UDP endpoint (binding.serve).
+func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
+	wid := tr.wireSvc(id)
+	tr.svcs = append(tr.svcs, wid)
+	b := &binding{tr: tr, s: s}
+	tr.ep.Register(wid, udptrans.Service{Idempotent: s.Idempotent, Handler: b.serve})
+}
+
+// serve decodes the payload, enters node context, charges receive and
 // send costs to the ledger, and maps kernel.Drop to a udptrans drop (the
 // requester's retransmission recovers, as in the paper). A request whose
 // payload does not decode is dropped the same way and counted.
-func (tr *Transport) Register(id kernel.ServiceID, s kernel.Service) {
-	n := tr.node
-	wid := tr.wireSvc(id)
-	tr.svcs = append(tr.svcs, wid)
-	tr.ep.Register(wid, udptrans.Service{
-		Idempotent: s.Idempotent,
-		Handler: func(from *net.UDPAddr, req []byte) ([]byte, bool) {
-			src, known := tr.idOf(from)
-			if !known {
-				return nil, true // stray datagram from outside the cluster
-			}
-			// The decoded payload may alias req's receive buffer; the
-			// buffer stays alive until this handler returns, and the
-			// handler runs to completion under the node monitor.
-			payload, ok := DecodePayload(req)
-			if !ok {
-				tr.malformed.Inc()
-				return nil, true
-			}
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			if n.closed {
-				return nil, true
-			}
-			n.acct[s.Category] += n.model.RecvCost(len(req))
-			reply, size, v := s.Handler(src, payload)
-			if v == kernel.Drop {
-				return nil, true
-			}
-			n.acct[s.Category] += n.model.SendCost(size)
-			// A fresh buffer: udptrans copies the reply into its frame and
-			// reply cache after this handler has returned.
-			return AppendPayload(nil, reply), false
-		},
-	})
+//
+//dflint:hotpath
+func (b *binding) serve(from *net.UDPAddr, req []byte) ([]byte, bool) {
+	tr, n := b.tr, b.tr.node
+	src, known := tr.idOf(from)
+	if !known {
+		return nil, true // stray datagram from outside the cluster
+	}
+	// The decoded payload may alias req's receive buffer; the buffer
+	// stays alive until this handler returns, and the handler runs to
+	// completion under the node monitor.
+	payload, ok := DecodePayload(req)
+	if !ok {
+		tr.malformed.Inc()
+		return nil, true
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return nil, true
+	}
+	n.acct[b.s.Category] += n.model.RecvCost(len(req))
+	reply, size, v := b.s.Handler(src, payload)
+	if v == kernel.Drop {
+		return nil, true
+	}
+	n.acct[b.s.Category] += n.model.SendCost(size)
+	// The reply may alias the handler's own buffers (kernel.Service), so it
+	// is serialised before the monitor is released — into the unused tail
+	// of the request's receive buffer, which udptrans recycles only after
+	// it has framed and cached the reply. Writing past len(req) leaves the
+	// request, which the reply may also alias, intact.
+	return AppendPayload(req[len(req):], reply), false
 }
 
 // call runs one reliable request to completion. The endpoint must carry an
@@ -256,13 +278,13 @@ func (tr *Transport) Call(t kernel.Thread, dst kernel.NodeID, svc kernel.Service
 	n := tr.node
 	n.acct[cat] += n.model.SendCost(size)
 	tr.outstanding++
-	data, release := marshal(req)
+	data, bp := marshal(req)
 	addr := tr.peers[dst]
 	wid := tr.wireSvc(svc)
 	n.mu.Unlock()
 	reply, ok := tr.call(context.Background(), addr, wid, data)
-	if release != nil {
-		release()
+	if bp != nil {
+		releasePayload(bp)
 	}
 	n.mu.Lock()
 	tr.outstanding--
@@ -310,7 +332,7 @@ func (tr *Transport) RequestAsync(dst kernel.NodeID, svc kernel.ServiceID, req a
 	h := &handle{cb: cb, cancel: cancel}
 	n.acct[cat] += n.model.SendCost(size)
 	tr.outstanding++
-	data, relReq := marshal(req)
+	data, bp := marshal(req)
 	addr := tr.peers[dst]
 	wid := tr.wireSvc(svc)
 	tr.inflight.Add(1)
@@ -322,8 +344,8 @@ func (tr *Transport) RequestAsync(dst kernel.NodeID, svc kernel.ServiceID, req a
 		// under the node monitor — returns. Callbacks that retain payload
 		// bytes copy them (the kernel contract; DSM install does).
 		reply, relReply, ok := tr.callBuffered(ctx, addr, wid, data)
-		if relReq != nil {
-			relReq()
+		if bp != nil {
+			releasePayload(bp)
 		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -360,7 +382,8 @@ func (tr *Transport) Send(dst kernel.NodeID, payload any, size int, cat kernel.C
 	n.acct[cat] += n.model.SendCost(size)
 	// The lane prefix lets the receiving mux route the event; a nil
 	// payload is the bare prefix (the remainder decodes back to nil).
-	data, release := encodePooled(tr.lanePrefix, payload)
+	bp := encodePooled(tr.lanePrefix, payload)
+	data := *bp
 	// SendEvent copies the payload into its frame before returning, so the
 	// pooled encode buffer can be released right after.
 	if dst == kernel.Broadcast {
@@ -373,7 +396,7 @@ func (tr *Transport) Send(dst kernel.NodeID, payload any, size int, cat kernel.C
 	} else {
 		tr.ep.SendEvent(tr.peers[dst], data) //nolint:errcheck // unreliable by contract
 	}
-	release()
+	releasePayload(bp)
 }
 
 // HandleRaw appends a one-way datagram handler. Registration happens
